@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, metrics
-from .errors import DegenerateProjection, NotACutset, NotControllable
+from .errors import DegenerateProjection, NotACutset
 from .gramian import (
     ConsensusSystem,
+    GramianBundle,
+    bundle_for,
     compute_gramian,
     gramian_submatrix,
     left_perron,
@@ -138,7 +140,15 @@ def _not_applicable(check_id: str, tolerance: float, **witness: float) -> CheckR
     )
 
 
-def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
+def _inverse_block(bundle: GramianBundle, ids) -> kernels.SymMatrix:
+    """Inverse of the Gramian block on ids, computed once per bundle."""
+    block = gramian_submatrix(bundle, ids)
+    return bundle.memo(("inverse", ids), kernels.explicit_inverse, block)
+
+
+def audit_theorem1(
+    system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None = None
+) -> AuditReport:
     """Checks T1.1-T1.6 on the Gramian block Q of node_ids and its inverse R.
 
     T1.1 Q is symmetric, positive semidefinite, entrywise nonnegative, and
@@ -154,23 +164,19 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     Singular Q makes T1.4-T1.6 not applicable (they presuppose the inverse).
     """
     ids = node_set(node_ids, system.n)
-    if not ids:
-        raise ValueError("node set must be nonempty")
     kstar = min_positive_horizon(system, ids)
     adequate = kf >= kstar
-    bundle = compute_gramian(system, kf)
+    bundle = bundle_for(system, kf, bundle)
     q = gramian_submatrix(bundle, ids)
     qa = q.array
     size = q.order
-    eig_q = kernels.sym_eig(q)
-    lam_w = float(np.linalg.eigvalsh(bundle.W.array)[-1])
+    eig_q = q.eig
+    lam_w = float(bundle.W.values[-1])
     checks: list[CheckResult] = []
 
     min_entry = float(qa.min())
-    base_ok = (
-        min_entry >= -1e-12
-        and eig_q.lambda_min >= -REL_SLACK * max(eig_q.lambda_max, 0.0)
-    )
+    nonneg_ok = eig_q.lambda_min >= -REL_SLACK * max(eig_q.lambda_max, 0.0)
+    base_ok = min_entry >= -1e-12 and nonneg_ok
     strict_ok = min_entry > 0.0 if adequate else True
     checks.append(
         CheckResult(
@@ -186,7 +192,6 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
         )
     )
 
-    nonneg_ok = eig_q.lambda_min >= -REL_SLACK * max(eig_q.lambda_max, 0.0)
     if adequate:
         gap = (
             eig_q.lambda_max - float(eig_q.values[-2])
@@ -232,8 +237,7 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
         )
     )
 
-    invertible = eig_q.lambda_min > kernels.SPD_RTOL * max(eig_q.lambda_max, 1.0)
-    if not invertible:
+    if not q.spd:
         for check_id in ("T1.4", "T1.5", "T1.6"):
             checks.append(
                 _not_applicable(
@@ -245,7 +249,7 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
             )
         return AuditReport(checks=tuple(checks))
 
-    r = kernels.explicit_inverse(q).array
+    r = _inverse_block(bundle, ids).array
     r_scale = float(np.max(np.abs(r)))
     neg_thresh = -NEG_SCALE * r_scale
     eig_r_min = float(np.linalg.eigvalsh(r)[0])
@@ -319,33 +323,33 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     return AuditReport(checks=tuple(checks))
 
 
-def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
+def audit_corollary1(
+    system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None = None
+) -> AuditReport:
     """Check C1: the negative-entry graph of the inverse block is connected.
 
     Applicable once the block is invertible and kf reaches the positivity
     horizon; otherwise reported as not applicable.
     """
     ids = node_set(node_ids, system.n)
-    if not ids:
-        raise ValueError("node set must be nonempty")
     kstar = min_positive_horizon(system, ids)
     adequate = kf >= kstar
-    q = gramian_submatrix(compute_gramian(system, kf), ids)
-    values = np.linalg.eigvalsh(q.array)
-    invertible = float(values[0]) > kernels.SPD_RTOL * max(float(values[-1]), 1.0)
+    bundle = bundle_for(system, kf, bundle)
+    q = gramian_submatrix(bundle, ids)
+    invertible = q.spd
     if not (invertible and adequate):
         return AuditReport(
             checks=(
                 _not_applicable(
                     "C1",
                     NEG_SCALE,
-                    lambda_min=float(values[0]),
+                    lambda_min=float(q.values[0]),
                     invertible=float(invertible),
                     kstar=float(kstar),
                 ),
             )
         )
-    graph = negative_inverse_graph(kernels.explicit_inverse(q))
+    graph = negative_inverse_graph(_inverse_block(bundle, ids))
     connected = kernels.connected_undirected(graph.adjacency())
     return AuditReport(
         checks=(
@@ -364,7 +368,11 @@ def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
 
 
 def audit_theorem2(
-    system: ConsensusSystem, kf: int, samples: int = 100, seed: int = 0
+    system: ConsensusSystem,
+    kf: int,
+    samples: int = 100,
+    seed: int = 0,
+    bundle: GramianBundle | None = None,
 ) -> AuditReport:
     """Checks T2.1-T2.4 on the target set.
 
@@ -381,20 +389,14 @@ def audit_theorem2(
     """
     kstar = min_positive_horizon(system, system.targets)
     adequate = kf >= kstar
-    bundle = compute_gramian(system, kf)
-    witness = metrics.target_controllable(system, kf, bundle)
-    if not witness:
-        raise NotControllable(
-            f"target block singular at horizon {kf} "
-            f"(lambda_min={witness.lambda_min:.3e})"
-        )
+    bundle = bundle_for(system, kf, bundle)
+    e_min, y_min = metrics.target_security(system, kf, bundle)  # raises NotControllable
     checks: list[CheckResult] = []
     if not adequate:
         for check_id in ("T2.1", "T2.2", "T2.3", "T2.4"):
             checks.append(_not_applicable(check_id, REL_SLACK, kstar=float(kstar)))
         return AuditReport(checks=tuple(checks))
 
-    e_min, y_min = metrics.target_security(system, kf, bundle)
     u_opt = metrics.optimal_target_input(system, kf, y_min, bundle)
     checks.append(
         CheckResult(
@@ -482,7 +484,12 @@ def audit_theorem2(
 
 
 def audit_cutset(
-    system: ConsensusSystem, kf: int, cutset, samples: int = 100, seed: int = 0
+    system: ConsensusSystem,
+    kf: int,
+    cutset,
+    samples: int = 100,
+    seed: int = 0,
+    bundle: GramianBundle | None = None,
 ) -> AuditReport:
     """Checks T3.1-T3.3 and T4.1-T4.3 for a separating cutset.
 
@@ -505,12 +512,14 @@ def audit_cutset(
         raise NotACutset(
             f"{ids} does not separate {system.sources} from {system.targets}"
         )
-    bundle = compute_gramian(system, kf)
+    bundle = bundle_for(system, kf, bundle)
     e_cut = metrics.cutset_energy(system, kf, ids, bundle)  # raises NodeUnreachable
     d_cut = 1.0 / e_cut
-    wt = metrics.target_gramian(system, kf, bundle).array
+    target_block = metrics.target_gramian(system, kf, bundle)
+    wt = target_block.array
     p = system.p
-    if float(np.diag(wt).max()) <= metrics.UNREACHABLE_TOL:
+    f_min, _ = metrics.projection_security(system, kf, bundle)
+    if math.isinf(f_min):  # no target diagonal above UNREACHABLE_TOL
         return AuditReport(
             checks=tuple(
                 _not_applicable(cid, REL_SLACK, target_energy=0.0)
@@ -548,7 +557,7 @@ def audit_cutset(
         )
     )
 
-    lam_max = float(np.linalg.eigvalsh(wt)[-1])
+    lam_max = float(target_block.values[-1])
     checks.append(
         CheckResult(
             id="T3.3",
@@ -581,7 +590,6 @@ def audit_cutset(
         )
     )
 
-    f_min, _ = metrics.projection_security(system, kf, bundle)
     checks.append(
         CheckResult(
             id="T4.2",
@@ -652,13 +660,10 @@ def audit_asymptotics(system: ConsensusSystem, node_ids, horizons) -> AuditRepor
         coeff = kf * weight
         h = q.array - coeff * np.ones((size, size))
         max_h.append(float(np.max(np.abs(h))))
-        pairs = kernels.sym_eig(q)
+        pairs = q.eig
         lam_resid.append(abs(pairs.lambda_max - size * coeff))
         vec_dist.append(float(np.max(np.abs(pairs.dominant - ones_dir))))
-        witness = metrics.target_controllable(system, kf, bundle)
-        if not witness:
-            raise NotControllable(f"target block singular at horizon {kf}")
-        e_min = 1.0 / witness.lambda_max
+        e_min, _ = metrics.target_security(system, kf, bundle)  # raises NotControllable
         sec_resid.append(abs(e_min * p * kf * weight - 1.0))
 
     median = horizons[len(horizons) // 2]

@@ -4,8 +4,8 @@ Subcommands: gen, metrics, audit, node-energies. Exit codes: 0 success,
 2 invalid input or generation failure, 3 target set not controllable,
 4 network not ergodic, 5 audit violation, 6 supplied set is not a
 separating cutset. All JSON output has sorted keys; CSV numbers use
-17-significant-digit formatting. NETCTL_THREADS is accepted for
-compatibility with scripted runs; computation is single-process.
+17-significant-digit formatting. A command builds the Gramian at kf once;
+audit theorem 5 builds its own horizons.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     NotControllable,
     NotErgodic,
 )
-from .gramian import ConsensusSystem, min_positive_horizon
+from .gramian import ConsensusSystem, compute_gramian, min_positive_horizon
 from .kernels import CSV_FORMAT, load_matrix_csv, save_matrix_csv
 from .netgraph import load_network, min_separating_cutset, network_json, random_geometric
 
@@ -137,20 +137,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     system = _load_system(args.net)
-    report = metrics_mod.metrics_report(system, args.kf)
+    bundle = compute_gramian(system, args.kf)
+    report = metrics_mod.metrics_report(system, args.kf, bundle)
+    payload = report.to_json_dict()
     if not report.controllable:
+        _emit_json(payload, args.out)
         print(
             f"target set not controllable at horizon {args.kf} "
             f"(lambda_min={report.lambda_min:.6e})",
             file=sys.stderr,
         )
         return 3
-    payload = report.to_json_dict()
     if args.goal is not None:
         if args.input_out is None:
             raise ValueError("--goal requires --input-out for the optimal input")
         goal = np.ravel(load_matrix_csv(args.goal))
-        seq = metrics_mod.optimal_target_input(system, args.kf, goal)
+        seq = metrics_mod.optimal_target_input(system, args.kf, goal, bundle)
         save_matrix_csv(args.input_out, seq.u)
         payload["E"] = seq.energy
     _emit_json(payload, args.out)
@@ -174,13 +176,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if bad or not requested:
         raise ValueError(f"--theorems must be a nonempty subset of 1..5, got {args.theorems}")
     system = _load_system(args.net)
+    # Theorems 1-4 read one Gramian at kf. With only 3 or 4 requested,
+    # audit_cutset builds it after it has checked the cutset.
+    bundle = compute_gramian(system, args.kf) if requested[0] < 3 else None
     reports = []
     if 1 in requested:
-        reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf))
-        reports.append(audit_mod.audit_corollary1(system, system.targets, args.kf))
+        reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf, bundle))
+        reports.append(audit_mod.audit_corollary1(system, system.targets, args.kf, bundle))
     if 2 in requested:
         reports.append(
-            audit_mod.audit_theorem2(system, args.kf, samples=args.samples, seed=args.seed)
+            audit_mod.audit_theorem2(
+                system, args.kf, samples=args.samples, seed=args.seed, bundle=bundle
+            )
         )
     if 3 in requested or 4 in requested:
         if args.cutset is not None:
@@ -192,7 +199,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         else:
             raise ValueError("theorems 3 and 4 require --cutset or --min-cutset")
         cut_report = audit_mod.audit_cutset(
-            system, args.kf, cutset, samples=args.samples, seed=args.seed
+            system, args.kf, cutset, samples=args.samples, seed=args.seed, bundle=bundle
         )
         wanted_prefixes = []
         if 3 in requested:
@@ -208,6 +215,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 )
             )
         )
+    del bundle  # freed before theorem 5 builds its own horizons
     if 5 in requested:
         horizons = _audit_horizons(args, system)
         reports.append(audit_mod.audit_asymptotics(system, system.targets, horizons))

@@ -8,7 +8,7 @@ horizon Gramian is the sum over k < k_f of (A^k B)(A^k B)^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,10 +74,30 @@ class ConsensusSystem:
 
 @dataclass(frozen=True)
 class GramianBundle:
-    """A Gramian together with the horizon it was accumulated over."""
+    """A Gramian with its horizon, and what metrics and audits read off it.
+
+    Principal blocks (with their eigenpairs and factors), block inverses and
+    Markov blocks are kept on first use, unless they are as large as W: W's
+    eigenvectors alone would take 8 MB at n = 1000, so an n x n block is
+    made afresh on each use instead.
+    """
 
     kf: int
     W: SymMatrix
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, make, *args):
+        """The value kept under key, made by make(*args) on first use.
+
+        The value is a SymMatrix or a list of arrays.
+        """
+        if key in self._memo:
+            return self._memo[key]
+        value = make(*args)
+        arrays = [value.array] if isinstance(value, SymMatrix) else value
+        if sum(a.nbytes for a in arrays) < self.W.array.nbytes:
+            self._memo[key] = value
+        return value
 
 
 def _check_horizon(kf) -> int:
@@ -99,15 +119,27 @@ def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
     for _ in range(kf):
         w += x @ x.T
         x = system.A @ x
-    return GramianBundle(kf=kf, W=SymMatrix(0.5 * (w + w.T)))
+    return GramianBundle(kf=kf, W=SymMatrix(w))
+
+
+def bundle_for(
+    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
+) -> GramianBundle:
+    """The bundle given, else a new one; ValueError if it is for another horizon."""
+    kf = _check_horizon(kf)
+    if bundle is None:
+        return compute_gramian(system, kf)
+    if bundle.kf != kf:
+        raise ValueError(f"bundle horizon {bundle.kf} does not match kf={kf}")
+    return bundle
 
 
 def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
-    """Principal Gramian block on the given nodes (ascending order)."""
+    """Principal Gramian block on the given nodes (ascending order), via memo."""
     ids = node_set(node_ids, bundle.W.order)
     if not ids:
         raise ValueError("node set must be nonempty")
-    return bundle.W.submatrix(ids)
+    return bundle.memo(("block", ids), bundle.W.submatrix, ids)
 
 
 def impulse_response(system: ConsensusSystem, z: int, l: int, kf: int) -> np.ndarray:
@@ -149,7 +181,7 @@ def gramian_from_impulses(system: ConsensusSystem, node_ids, kf: int) -> SymMatr
             h[k] = x[rows]
             x = system.A @ x
         q += h.T @ h
-    return SymMatrix(0.5 * (q + q.T))
+    return SymMatrix(q)
 
 
 def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:
@@ -220,11 +252,8 @@ def asymptotic_decomposition(
     An already computed bundle for the same horizon may be passed to avoid
     recomputing the Gramian.
     """
-    kf = _check_horizon(kf)
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    elif bundle.kf != kf:
-        raise ValueError(f"bundle horizon {bundle.kf} does not match kf={kf}")
+    bundle = bundle_for(system, kf, bundle)
+    kf = bundle.kf
     q = gramian_submatrix(bundle, node_ids).array
     w = left_perron(system)
     weight = float(np.sum(w[list(system.sources)] ** 2))

@@ -27,10 +27,12 @@ class SymMatrix:
     """Symmetric float64 matrix. Storage is symmetrized once on construction.
 
     Construction rejects inputs whose asymmetry exceeds SYMMETRY_TOL relative
-    to the largest entry magnitude.
+    to the largest entry magnitude. The matrix is immutable, so its
+    eigenvalues, eigendecomposition and Cholesky factor are computed on first
+    use and kept.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_values", "_eig", "_cho")
 
     def __init__(self, data):
         a = np.array(data, dtype=float)
@@ -46,6 +48,7 @@ class SymMatrix:
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         self._a = a
+        self._values = self._eig = self._cho = None
 
     @property
     def order(self) -> int:
@@ -55,6 +58,36 @@ class SymMatrix:
     def array(self) -> np.ndarray:
         """Read-only view of the underlying (order, order) array."""
         return self._a
+
+    @property
+    def values(self) -> np.ndarray:
+        """Ascending eigenvalues by eigvalsh (read-only), computed once."""
+        if self._values is None:
+            self._values = np.linalg.eigvalsh(self._a)
+            self._values.setflags(write=False)
+        return self._values
+
+    @property
+    def eig(self) -> "EigenPairs":
+        """Eigendecomposition by sym_eig (read-only arrays), computed once."""
+        if self._eig is None:
+            self._eig = sym_eig(self)
+        return self._eig
+
+    @property
+    def spd(self) -> bool:
+        """Positive definite: lambda_min > SPD_RTOL * max(lambda_max, 1)."""
+        return float(self.values[0]) > SPD_RTOL * max(float(self.values[-1]), 1.0)
+
+    @property
+    def cholesky(self):
+        """Read-only lower Cholesky factor (cho_factor form), kept; needs spd."""
+        if self._cho is None:
+            spd_check(self)
+            c, lower = scipy.linalg.cho_factor(self._a, lower=True, check_finite=False)
+            c.setflags(write=False)
+            self._cho = (c, lower)
+        return self._cho
 
     def submatrix(self, ids) -> "SymMatrix":
         """Principal submatrix on the given row/column indices (in order)."""
@@ -90,10 +123,8 @@ class EigenPairs:
         return self.vectors[:, -1]
 
 
-def _as_sym_array(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.array
-    return SymMatrix(m).array
+def _as_sym(m) -> SymMatrix:
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -112,7 +143,7 @@ def sym_eig(m) -> EigenPairs:
     needed, so that its entry of largest magnitude is nonnegative. Raises
     ConvergenceFailure if the underlying LAPACK iteration does not converge.
     """
-    a = _as_sym_array(m)
+    a = _as_sym(m).array
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -126,50 +157,39 @@ def sym_eig(m) -> EigenPairs:
 def spd_check(m) -> tuple[float, float]:
     """Return (lambda_min, lambda_max); raise NotPositiveDefinite if not SPD.
 
-    The test is relative: lambda_min must exceed SPD_RTOL * max(lambda_max, 1).
+    The test is SymMatrix.spd, on the matrix's cached eigenvalues.
     """
-    a = _as_sym_array(m)
-    values = np.linalg.eigvalsh(a)
-    lo, hi = float(values[0]), float(values[-1])
-    if not lo > SPD_RTOL * max(hi, 1.0):
+    s = _as_sym(m)
+    lo, hi = float(s.values[0]), float(s.values[-1])
+    if not s.spd:
         raise NotPositiveDefinite(lo)
     return lo, hi
-
-
-def _cho_factor(a: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded by spd_check
-        raise NotPositiveDefinite(float("nan")) from exc
 
 
 def solve_spd(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M.
 
-    Uses a Cholesky factorization plus one step of iterative refinement.
-    Raises NotPositiveDefinite when the spectrum fails the SPD_RTOL test.
+    Uses the cached Cholesky factorization plus one step of iterative
+    refinement. Raises NotPositiveDefinite when M fails the SPD test.
     """
-    a = _as_sym_array(m)
+    s = _as_sym(m)
     rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != a.shape[0]:
+    if rhs.shape[0] != s.order:
         raise DimensionMismatch(
-            f"right-hand side of length {rhs.shape[0]} for order {a.shape[0]}"
+            f"right-hand side of length {rhs.shape[0]} for order {s.order}"
         )
-    spd_check(a)
-    factor = _cho_factor(a)
+    factor = s.cholesky
     x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     # One refinement pass keeps the residual near roundoff for the
     # moderately conditioned matrices this package produces.
-    x = x + scipy.linalg.cho_solve(factor, rhs - a @ x, check_finite=False)
+    x = x + scipy.linalg.cho_solve(factor, rhs - s.array @ x, check_finite=False)
     return x
 
 
 def explicit_inverse(m) -> SymMatrix:
     """Dense inverse of a symmetric positive definite matrix, symmetrized."""
-    a = _as_sym_array(m)
-    spd_check(a)
-    factor = _cho_factor(a)
-    inv = scipy.linalg.cho_solve(factor, np.eye(a.shape[0]), check_finite=False)
+    s = _as_sym(m)
+    inv = scipy.linalg.cho_solve(s.cholesky, np.eye(s.order), check_finite=False)
     return SymMatrix(0.5 * (inv + inv.T))
 
 

@@ -20,7 +20,7 @@ from .errors import (
     NodeUnreachable,
     NotControllable,
 )
-from .gramian import ConsensusSystem, GramianBundle, compute_gramian, gramian_submatrix
+from .gramian import ConsensusSystem, GramianBundle, bundle_for, gramian_submatrix
 from .netgraph import node_set
 
 # Diagonal Gramian entries at or below this are treated as structural zeros.
@@ -87,24 +87,24 @@ def target_gramian(
     system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
 ) -> kernels.SymMatrix:
     """Gramian block on the system's target set."""
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    return gramian_submatrix(bundle, system.targets)
-
-
-def _witness_of(q: kernels.SymMatrix) -> ControllabilityWitness:
-    values = np.linalg.eigvalsh(q.array)
-    lo, hi = float(values[0]), float(values[-1])
-    return ControllabilityWitness(
-        controllable=lo > kernels.SPD_RTOL * max(hi, 1.0), lambda_min=lo, lambda_max=hi
-    )
+    return gramian_submatrix(bundle_for(system, kf, bundle), system.targets)
 
 
 def target_controllable(
     system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
 ) -> ControllabilityWitness:
     """Whether the target Gramian block is invertible at this horizon."""
-    return _witness_of(target_gramian(system, kf, bundle))
+    q = target_gramian(system, kf, bundle)
+    return ControllabilityWitness(q.spd, float(q.values[0]), float(q.values[-1]))
+
+
+def _controllable_block(system, kf, bundle) -> kernels.SymMatrix:
+    q = target_gramian(system, kf, bundle)
+    if not q.spd:
+        raise NotControllable(
+            f"target block singular at horizon {kf} (lambda_min={q.values[0]:.3e})"
+        )
+    return q
 
 
 def _goal_vector(system: ConsensusSystem, ybar) -> np.ndarray:
@@ -121,9 +121,7 @@ def target_control_energy(
 ) -> float:
     """Minimum input energy that places the target outputs at ybar at time kf."""
     y = _goal_vector(system, ybar)
-    q = target_gramian(system, kf, bundle)
-    if not _witness_of(q):
-        raise NotControllable(f"target block singular at horizon {kf}")
+    q = _controllable_block(system, kf, bundle)
     return float(y @ kernels.solve_spd(q, y))
 
 
@@ -137,6 +135,12 @@ def _markov_blocks(system: ConsensusSystem, kf: int) -> list[np.ndarray]:
     return blocks
 
 
+def _schedule(system: ConsensusSystem, bundle: GramianBundle, v) -> np.ndarray:
+    """Input schedule whose step i is (C A^(kf-1-i) B)^T v."""
+    blocks = bundle.memo(("markov", system.targets), _markov_blocks, system, bundle.kf)
+    return np.array([block.T @ v for block in blocks[::-1]])
+
+
 def optimal_target_input(
     system: ConsensusSystem, kf: int, ybar, bundle: GramianBundle | None = None
 ) -> InputSequence:
@@ -146,14 +150,9 @@ def optimal_target_input(
     its energy equals target_control_energy(system, kf, ybar).
     """
     y = _goal_vector(system, ybar)
-    q = target_gramian(system, kf, bundle)
-    if not _witness_of(q):
-        raise NotControllable(f"target block singular at horizon {kf}")
-    v = kernels.solve_spd(q, y)
-    blocks = _markov_blocks(system, kf)
-    u = np.empty((kf, system.m))
-    for i in range(kf):
-        u[i] = blocks[kf - 1 - i].T @ v
+    bundle = bundle_for(system, kf, bundle)
+    v = kernels.solve_spd(_controllable_block(system, kf, bundle), y)
+    u = _schedule(system, bundle, v)
     return InputSequence(kf=kf, u=u, energy=float(np.sum(u * u)))
 
 
@@ -166,44 +165,36 @@ def target_security(
     Gramian eigenvalue and y_min the corresponding unit eigenvector,
     sign-normalized.
     """
-    q = target_gramian(system, kf, bundle)
-    pairs = kernels.sym_eig(q)
-    if not pairs.lambda_min > kernels.SPD_RTOL * max(pairs.lambda_max, 1.0):
-        raise NotControllable(f"target block singular at horizon {kf}")
+    pairs = _controllable_block(system, kf, bundle).eig
     return 1.0 / pairs.lambda_max, pairs.dominant.copy()
+
+
+def _projection_form(system, kf, alpha, bundle) -> tuple[np.ndarray, float]:
+    """alpha as a vector and its nondegenerate target-Gramian form alpha^T Q alpha."""
+    a = _goal_vector(system, alpha)
+    q = target_gramian(system, kf, bundle)
+    form = float(a @ q.array @ a)
+    if form <= DEGENERATE_RTOL * float(q.values[-1]):
+        raise DegenerateProjection(
+            f"projection carries no reachable energy (form={form:.3e})"
+        )
+    return a, form
 
 
 def projection_energy(
     system: ConsensusSystem, kf: int, alpha, bundle: GramianBundle | None = None
 ) -> float:
     """Energy to move the scalar projection alpha . y by one unit."""
-    a = _goal_vector(system, alpha)
-    q = target_gramian(system, kf, bundle).array
-    form = float(a @ q @ a)
-    lam_max = float(np.linalg.eigvalsh(q)[-1])
-    if form <= DEGENERATE_RTOL * lam_max:
-        raise DegenerateProjection(
-            f"projection carries no reachable energy (form={form:.3e})"
-        )
-    return 1.0 / form
+    return 1.0 / _projection_form(system, kf, alpha, bundle)[1]
 
 
 def optimal_projection_input(
     system: ConsensusSystem, kf: int, alpha, bundle: GramianBundle | None = None
 ) -> InputSequence:
     """Least-energy input schedule moving the projection alpha . y to one."""
-    a = _goal_vector(system, alpha)
-    q = target_gramian(system, kf, bundle).array
-    form = float(a @ q @ a)
-    lam_max = float(np.linalg.eigvalsh(q)[-1])
-    if form <= DEGENERATE_RTOL * lam_max:
-        raise DegenerateProjection(
-            f"projection carries no reachable energy (form={form:.3e})"
-        )
-    blocks = _markov_blocks(system, kf)
-    u = np.empty((kf, system.m))
-    for i in range(kf):
-        u[i] = blocks[kf - 1 - i].T @ a / form
+    bundle = bundle_for(system, kf, bundle)
+    a, form = _projection_form(system, kf, alpha, bundle)
+    u = _schedule(system, bundle, a) / form
     return InputSequence(kf=kf, u=u, energy=float(np.sum(u * u)))
 
 
@@ -228,9 +219,7 @@ def node_energy(
 ) -> float:
     """Energy to move a single node's state by one unit at time kf."""
     (c,) = node_set([node], system.n)
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    val = float(bundle.W.array[c, c])
+    val = float(bundle_for(system, kf, bundle).W.array[c, c])
     if val <= UNREACHABLE_TOL:
         raise NodeUnreachable(f"node {c} unreachable within horizon {kf}")
     return 1.0 / val
@@ -240,9 +229,7 @@ def node_energies(
     system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
 ) -> np.ndarray:
     """Vector of per-node energies; unreachable nodes get inf."""
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    diag = np.diag(bundle.W.array)
+    diag = np.diag(bundle_for(system, kf, bundle).W.array)
     out = np.full(system.n, math.inf)
     ok = diag > UNREACHABLE_TOL
     out[ok] = 1.0 / diag[ok]
@@ -256,9 +243,7 @@ def cutset_energy(
     ids = node_set(cutset, system.n)
     if not ids:
         raise ValueError("cutset must be nonempty")
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    diag = bundle.W.array[list(ids), list(ids)]
+    diag = bundle_for(system, kf, bundle).W.array[list(ids), list(ids)]
     top = float(diag.max())
     if top <= UNREACHABLE_TOL:
         raise NodeUnreachable(f"no cutset node reachable within horizon {kf}")
@@ -272,28 +257,23 @@ def full_target_security(
 
     Defined whether or not the full Gramian is invertible.
     """
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
-    lam_max = float(np.linalg.eigvalsh(bundle.W.array)[-1])
-    return 1.0 / lam_max
+    return 1.0 / float(bundle_for(system, kf, bundle).W.values[-1])
 
 
 def metrics_report(
     system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
 ) -> MetricsReport:
     """Assemble the standard metrics summary at one horizon."""
-    if bundle is None:
-        bundle = compute_gramian(system, kf)
+    bundle = bundle_for(system, kf, bundle)
     q = target_gramian(system, kf, bundle)
-    pairs = kernels.sym_eig(q)
-    lam_min, lam_max = pairs.lambda_min, pairs.lambda_max
-    controllable = lam_min > kernels.SPD_RTOL * max(lam_max, 1.0)
+    pairs = q.eig
+    lam_max = pairs.lambda_max
     e_min = 1.0 / lam_max if lam_max > 0.0 else math.inf
     f_min, j_min = projection_security(system, kf, bundle)
     return MetricsReport(
         kf=bundle.kf,
-        controllable=controllable,
-        lambda_min=lam_min,
+        controllable=q.spd,
+        lambda_min=pairs.lambda_min,
         lambda_max=lam_max,
         E_min=e_min,
         y_min=pairs.dominant.copy(),

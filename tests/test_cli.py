@@ -103,9 +103,14 @@ class TestMetrics:
 
     def test_uncontrollable_exits_3(self, tmp_path, capsys):
         net = write_two_node(tmp_path)
-        code, _, err = run(capsys, "metrics", "--net", net, "--kf", "1")
+        code, out, err = run(capsys, "metrics", "--net", net, "--kf", "1")
         assert code == 3
         assert "not controllable" in err
+        obj = json.loads(out)
+        assert obj["controllable"] is False
+        assert obj["kf"] == 1
+        assert obj["lambda_min"] == pytest.approx(0.0, abs=1e-12)
+        assert obj["node_energies"] == [pytest.approx(1.0), None]
 
     def test_goal_without_input_out_exits_2(self, tmp_path, capsys):
         net = write_two_node(tmp_path)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,13 @@ class TestSymMatrix:
     def test_submatrix(self):
         s = SymMatrix(W2)
         np.testing.assert_allclose(s.submatrix([1]).array, [[0.25]])
+
+    def test_kept_factorizations_are_read_only(self):
+        s = SymMatrix(W2)
+        for kept in (s.eig.values, s.eig.vectors, s.cholesky[0]):
+            with pytest.raises(ValueError):
+                kept[0] = 7.0
+        assert s.eig is s.eig and s.cholesky is s.cholesky
 
 
 class TestSymEig:
@@ -136,6 +144,22 @@ class TestExplicitInverse:
         m = random_spd(rng, 14)
         prod = m.array @ explicit_inverse(m).array
         assert np.max(np.abs(prod - np.eye(14))) <= 1e-8
+
+    def test_hilbert_6(self):
+        # cond about 1.5e7, still positive definite under SPD_RTOL
+        inv = explicit_inverse(SymMatrix(scipy.linalg.hilbert(6))).array
+        exact = scipy.linalg.invhilbert(6)
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(inv - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+    def test_rotated_near_singular(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        m = rot @ np.diag([1.0, 1e-9]) @ rot.T
+        inv = explicit_inverse(SymMatrix(0.5 * (m + m.T))).array
+        exact = rot @ np.diag([1.0, 1e9]) @ rot.T
+        assert np.array_equal(inv, inv.T)
+        assert np.max(np.abs(inv - exact)) <= 1e-6 * 1e9
 
 
 class TestConnectivity:

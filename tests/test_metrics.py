@@ -14,6 +14,10 @@ from netctl import (
     DimensionMismatch,
     NodeUnreachable,
     NotControllable,
+    audit_corollary1,
+    audit_cutset,
+    audit_theorem1,
+    audit_theorem2,
     compute_gramian,
     cutset_energy,
     full_target_security,
@@ -24,6 +28,7 @@ from netctl import (
     optimal_target_input,
     projection_energy,
     projection_security,
+    simulate,
     target_control_energy,
     target_controllable,
     target_security,
@@ -289,3 +294,38 @@ class TestReport:
         d = metrics_report(chain, 1).to_json_dict()
         assert d["node_energies"][2] is None
         assert d["controllable"] is False
+
+
+class TestBundleHorizon:
+    """A bundle answers only for its own horizon."""
+
+    def test_shared_bundle_at_its_horizon(self, sys2):
+        bundle = compute_gramian(sys2, 5)
+        assert target_control_energy(sys2, 5, [1.0, 2.0], bundle) == pytest.approx(5.0)
+        seq = optimal_target_input(sys2, 5, [1.0, 2.0], bundle)
+        final = simulate(sys2, np.zeros(2), seq).outputs[-1]
+        np.testing.assert_allclose(final, [1.0, 2.0], atol=1e-12)
+
+    CALLS = {
+        "target_control_energy": lambda s, b: target_control_energy(s, 5, [1.0, 2.0], b),
+        "optimal_target_input": lambda s, b: optimal_target_input(s, 5, [1.0, 2.0], b),
+        "target_controllable": lambda s, b: target_controllable(s, 5, b),
+        "target_security": lambda s, b: target_security(s, 5, b),
+        "projection_energy": lambda s, b: projection_energy(s, 5, [1.0, 0.0], b),
+        "optimal_projection_input": lambda s, b: optimal_projection_input(s, 5, [1.0, 0.0], b),
+        "projection_security": lambda s, b: projection_security(s, 5, b),
+        "node_energy": lambda s, b: node_energy(s, 5, 1, b),
+        "node_energies": lambda s, b: node_energies(s, 5, b),
+        "cutset_energy": lambda s, b: cutset_energy(s, 5, [0], b),
+        "full_target_security": lambda s, b: full_target_security(s, 5, b),
+        "metrics_report": lambda s, b: metrics_report(s, 5, b),
+        "audit_theorem1": lambda s, b: audit_theorem1(s, [0, 1], 5, b),
+        "audit_corollary1": lambda s, b: audit_corollary1(s, [0, 1], 5, b),
+        "audit_theorem2": lambda s, b: audit_theorem2(s, 5, samples=3, bundle=b),
+        "audit_cutset": lambda s, b: audit_cutset(s, 5, [0], samples=3, bundle=b),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_other_horizon_rejected(self, sys2, name):
+        with pytest.raises(ValueError, match="bundle horizon 2 does not match kf=5"):
+            self.CALLS[name](sys2, compute_gramian(sys2, 2))
