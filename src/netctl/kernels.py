@@ -38,14 +38,13 @@ class SymMatrix:
         a = np.array(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-        skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        scale = max(1.0, float(-a.min()), float(a.max())) if a.size else 1.0
+        skew = _symmetrize_in_place(a)
         if skew > SYMMETRY_TOL * scale:
             raise ValueError(
                 f"matrix is not symmetric: max |a - a.T| = {skew:.3e} "
                 f"exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}"
             )
-        a = 0.5 * (a + a.T)
         a.setflags(write=False)
         self._a = a
         self._values = self._eig = self._cho = None
@@ -96,6 +95,24 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix(order={self.order})"
+
+
+def _symmetrize_in_place(a: np.ndarray) -> float:
+    """Set a to 0.5 * (a + a.T) in place; return max |a - a.T| before.
+
+    Block by block, with no n x n temporary; floating-point addition commutes,
+    so the result is bit-identical to 0.5 * (a + a.T).
+    """
+    block = 128
+    skews = [0.0]
+    for i in range(0, a.shape[0], block):
+        for j in range(i, a.shape[0], block):
+            upper, lower = a[i : i + block, j : j + block], a[j : j + block, i : i + block]
+            skews.append(np.max(np.abs(upper - lower.T)))
+            mean = 0.5 * (upper + lower.T)
+            upper[...] = mean
+            lower[...] = mean.T
+    return float(np.max(skews))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     RowSumError,
 )
+from .kernels import connected_undirected
 
 ROW_SUM_TOL = 1e-12
 
@@ -265,87 +266,79 @@ class _FlowNet:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
+    def augment(self, s: int, t: int, limit=math.inf) -> int:
+        """Push up to limit units along one shortest residual s-t path; 0 if none."""
+        parent: list[Optional[tuple[int, int]]] = [None] * self.size
+        parent[s] = (s, -1)
+        queue = [s]
+        while queue and parent[t] is None:
+            nxt = []
+            for u in queue:
+                for i, arc in enumerate(self.adj[u]):
+                    v, cap, _ = arc
+                    if cap > 0 and parent[v] is None:
+                        parent[v] = (u, i)
+                        nxt.append(v)
+            queue = nxt
+        if parent[t] is None:
+            return 0
+        path = []
+        v = t
+        while v != s:
+            u, i = parent[v]
+            path.append((u, i))
+            v = u
+        push = min(limit, *(self.adj[u][i][1] for u, i in path))
+        for u, i in path:
+            arc = self.adj[u][i]
+            arc[1] -= push
+            self.adj[arc[0]][arc[2]][1] += push
+        return push
+
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
-        while True:
-            parent: list[Optional[tuple[int, int]]] = [None] * self.size
-            parent[s] = (s, -1)
-            queue = [s]
-            while queue and parent[t] is None:
-                nxt = []
-                for u in queue:
-                    for i, arc in enumerate(self.adj[u]):
-                        v, cap, _ = arc
-                        if cap > 0 and parent[v] is None:
-                            parent[v] = (u, i)
-                            nxt.append(v)
-                queue = nxt
-            if parent[t] is None:
-                return flow
-            # trace the path, find bottleneck
-            path = []
-            v = t
-            while v != s:
-                u, i = parent[v]
-                path.append((u, i))
-                v = u
-            push = min(self.adj[u][i][1] for u, i in path)
-            for u, i in path:
-                arc = self.adj[u][i]
-                arc[1] -= push
-                self.adj[arc[0]][arc[2]][1] += push
+        while push := self.augment(s, t):
             flow += push
+        return flow
+
+    def residual_components(self) -> list[int]:
+        """Strongly connected component id per vertex of the residual graph."""
+        residual = [[arc[0] for arc in arcs if arc[1] > 0] for arcs in self.adj]
+        comp = [0] * self.size
+        for cid, members in enumerate(_sccs(self.size, residual)):
+            for u in members:
+                comp[u] = cid
+        return comp
 
 
-def _vertex_cut_value(graph, sources, targets, banned: set[int], interior_only: bool):
-    """Minimum number of deletable vertices cutting all source-target paths.
+def _split_network(graph, s_set, t_set, interior_only) -> _FlowNet:
+    """Split-vertex flow network whose maximum flow is the vertex cut size.
 
-    banned vertices are treated as already deleted. With interior_only, source
-    and target vertices cannot be cut; returns None when no interior cut can
-    exist (overlapping or directly adjacent terminals). Flow value otherwise.
+    Vertex v becomes a unit arc 2v -> 2v+1, added before any other arc at 2v
+    so that it is adj[2v][0]; the source is 2n and the sink 2n+1. With
+    interior_only, source and target vertices cannot be cut; the caller
+    ensures that no source is a target or has an edge to one.
     """
     n = graph.n
-    s_live = [v for v in sources if v not in banned]
-    t_live = [v for v in targets if v not in banned]
-    if not s_live or not t_live:
-        return 0
-    s_set, t_set = set(s_live), set(t_live)
-    if interior_only and s_set & t_set:
-        return None
     inf = n + 1
     src, snk = 2 * n, 2 * n + 1
     net = _FlowNet(2 * n + 2)
-    if interior_only:
-        for v in range(n):
-            if v in banned or v in s_set or v in t_set:
-                continue
+    for v in range(n):
+        if not (interior_only and (v in s_set or v in t_set)):
             net.add(2 * v, 2 * v + 1, 1)
-        for s in s_live:
-            net.add(src, 2 * s + 1, inf)
-        for t in t_live:
-            net.add(2 * t, snk, inf)
-    else:
-        for v in range(n):
-            if v in banned:
-                continue
-            net.add(2 * v, 2 * v + 1, 1)
-        for s in s_live:
-            net.add(src, 2 * s, inf)
-        for t in t_live:
-            net.add(2 * t + 1, snk, inf)
+    for s in s_set:
+        net.add(src, 2 * s + 1 if interior_only else 2 * s, inf)
+    for t in t_set:
+        net.add(2 * t if interior_only else 2 * t + 1, snk, inf)
     for u, v, _ in graph.edges:
-        if u == v or u in banned or v in banned:
-            continue
         # paths entering a source restart there, paths leaving a target are
         # already separated by their prefix: such edges impose no constraint
-        if v in s_set or u in t_set:
+        if u == v or v in s_set or u in t_set:
             continue
         tail = src if (interior_only and u in s_set) else 2 * u + 1
         head = snk if (interior_only and v in t_set) else 2 * v
-        if tail == src and head == snk:
-            return None  # a direct source-target edge no interior vertex can cut
         net.add(tail, head, inf)
-    return net.max_flow(src, snk)
+    return net
 
 
 def min_separating_cutset(graph, sources, targets) -> tuple[int, ...]:
@@ -355,30 +348,37 @@ def min_separating_cutset(graph, sources, targets) -> tuple[int, ...]:
     minimum-cardinality such cutset, ties broken toward the lexicographically
     smallest node tuple. Only when no terminal-free cutset exists (overlapping
     or adjacent source/target sets) may the result contain terminal nodes.
+
+    Candidates are walked in ascending order and v is taken iff its unit arc
+    lies in some minimum cut, so deleting v lowers the maximum flow by one:
+    by Picard and Queyranne (1980), iff a maximum flow saturates the arc and
+    its ends lie in different strongly connected components of the residual
+    graph. Cost: one maximum flow, then O(V + E) per vertex taken.
     """
-    s = node_set(sources, graph.n)
-    t = node_set(targets, graph.n)
+    s = set(node_set(sources, graph.n))
+    t = set(node_set(targets, graph.n))
     if not s or not t:
         raise ValueError("sources and targets must be nonempty")
-    interior = _vertex_cut_value(graph, s, t, set(), True)
-    if interior is not None:
-        mode_interior = True
-        need = interior
-        candidates = [v for v in range(graph.n) if v not in s and v not in t]
-    else:
-        mode_interior = False
-        need = _vertex_cut_value(graph, s, t, set(), False)
-        candidates = list(range(graph.n))
+    interior = s.isdisjoint(t) and not any(u in s and v in t for u, v, _ in graph.edges)
+    candidates = [v for v in range(graph.n) if not (interior and (v in s or v in t))]
+    net = _split_network(graph, s, t, interior)
+    src, snk = 2 * graph.n, 2 * graph.n + 1
+    need = net.max_flow(src, snk)
+    comp = net.residual_components()
     chosen: list[int] = []
-    banned: set[int] = set()
     for v in candidates:
         if need == 0:
             break
-        val = _vertex_cut_value(graph, s, t, banned | {v}, mode_interior)
-        if val == need - 1:
+        unit = net.adj[2 * v][0]
+        if unit[1] == 0 and comp[2 * v] != comp[2 * v + 1]:
             chosen.append(v)
-            banned.add(v)
             need -= 1
+            # delete the arc; its unit returns from 2v to the source and from
+            # the sink to 2v+1, leaving a maximum flow of the network without v
+            unit[1] = net.adj[2 * v + 1][unit[2]][1] = 0
+            net.augment(2 * v, src, 1)
+            net.augment(snk, 2 * v + 1, 1)
+            comp = net.residual_components()
     return tuple(chosen)
 
 
@@ -405,7 +405,7 @@ def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
         diff = pts[:, None, :] - pts[None, :, :]
         adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= radius * radius
         np.fill_diagonal(adj, False)
-        if not connected_pattern(adj):
+        if not connected_undirected(adj):
             continue
         edges: list[Edge] = []
         for j in range(n):
@@ -418,21 +418,6 @@ def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
     raise ConnectivityFailure(
         f"no connected placement in 1000 attempts (n={n}, radius={radius}, seed={seed})"
     )
-
-
-def connected_pattern(adj: np.ndarray) -> bool:
-    """Connectivity of a boolean symmetric adjacency matrix, diagonal ignored."""
-    k = adj.shape[0]
-    seen = np.zeros(k, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
 
 
 def network_json(graph: WeightedDigraph, sources, targets) -> str:

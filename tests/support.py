@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from netctl import ConsensusSystem, WeightedDigraph, build_graph
 
@@ -63,6 +65,22 @@ def random_ergodic_graph(rng: np.random.Generator, n: int) -> WeightedDigraph:
         for u, w in zip(incoming, weights):
             raw[(u, v)] = float(w)
     edges = [(u, v, w) for (u, v), w in sorted(raw.items())]
+    return build_graph(n, edges)
+
+
+def random_digraph(rng: np.random.Generator, n: int, degree: float) -> WeightedDigraph:
+    """Random digraph with about `degree` in-neighbours per node.
+
+    Every node keeps a self-loop, so incoming weights (uniform on [0.2, 1],
+    normalized) always sum to one; nothing else is guaranteed, not even
+    weak connectivity.
+    """
+    edges = []
+    for v in range(n):
+        incoming = [u for u in range(n) if u != v and rng.random() < degree / n] + [v]
+        weights = rng.uniform(0.2, 1.0, size=len(incoming))
+        weights /= weights.sum()
+        edges.extend((u, v, float(w)) for u, w in zip(incoming, weights))
     return build_graph(n, edges)
 
 
@@ -161,6 +179,57 @@ def brute_min_cutset(graph: WeightedDigraph, sources, targets) -> tuple[int, ...
                 if separates(graph, s, t, frozenset(combo)):
                     return tuple(combo)
     raise AssertionError("unreachable: full vertex set always separates")
+
+
+def vertex_cut_size(graph: WeightedDigraph, sources, targets, deleted, interior) -> int:
+    """Fewest vertices meeting every source-target path, by scipy's max flow.
+
+    Vertex v is an arc 2v -> 2v+1 of capacity 1 (0 once deleted); each edge
+    u -> v is an arc 2u+1 -> 2v of capacity big, and so are the arcs from
+    the super-source to each source and from each target to the super-sink.
+    With interior, terminal vertices cost big too, so a result of big or
+    more means that no cut avoids the terminals.
+    """
+    n = graph.n
+    big = 2 * n + 2
+    arcs: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        if v not in deleted:
+            terminal = v in sources or v in targets
+            arcs[(2 * v, 2 * v + 1)] = big if interior and terminal else 1
+    for v in sources:
+        arcs[(2 * n, 2 * v)] = big
+    for v in targets:
+        arcs[(2 * v + 1, 2 * n + 1)] = big
+    for u, v, _ in graph.edges:
+        if u != v:
+            arcs[(2 * u + 1, 2 * v)] = big
+    rows, cols = zip(*arcs)
+    caps = np.array(list(arcs.values()), dtype=np.int32)
+    net = csr_matrix((caps, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
+    return int(maximum_flow(net, 2 * n, 2 * n + 1).flow_value)
+
+
+def greedy_min_cutset(graph: WeightedDigraph, sources, targets) -> tuple[int, ...]:
+    """Minimum cutset by its definition, one max flow per candidate.
+
+    Interior nodes only when some cut avoids the terminals; candidates in
+    ascending order, v taken iff deleting it (with those already taken)
+    lowers the cut size by one. Viable for a few dozen nodes.
+    """
+    s, t = set(sources), set(targets)
+    interior = vertex_cut_size(graph, s, t, set(), True) < 2 * graph.n + 2
+    need = vertex_cut_size(graph, s, t, set(), interior)
+    chosen: list[int] = []
+    for v in range(graph.n):
+        if need == 0:
+            break
+        if interior and (v in s or v in t):
+            continue
+        if vertex_cut_size(graph, s, t, {v, *chosen}, interior) == need - 1:
+            chosen.append(v)
+            need -= 1
+    return tuple(chosen)
 
 
 def brute_reach_horizon(a: np.ndarray, sources, block) -> int:

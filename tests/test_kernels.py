@@ -1,5 +1,7 @@
 """Numerical kernel tests: eigendecomposition, SPD solves, CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -45,6 +47,20 @@ class TestSymMatrix:
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
         s = SymMatrix(m)
         assert s.array[0, 1] == s.array[1, 0]
+
+    def test_symmetrizes_without_square_temporaries(self):
+        """Peak traced memory stays near the one copy; result as 0.5*(a + a.T)."""
+        rng = np.random.default_rng(400)
+        m = rng.standard_normal((400, 400))
+        a = m + m.T + 1e-13 * rng.standard_normal((400, 400))
+        tracemalloc.start()
+        try:
+            s = SymMatrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * a.nbytes
+        assert s.array.tobytes() == (0.5 * (a + a.T)).tobytes()
 
     def test_array_is_read_only(self):
         s = SymMatrix(np.eye(2))

@@ -22,6 +22,7 @@ from netctl import (
     random_geometric,
     save_network,
 )
+from netctl import netgraph
 
 TWO_NODE_EDGES = [(0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)]
 CHAIN_EDGES = [
@@ -183,6 +184,50 @@ class TestMinCutset:
             want = support.brute_min_cutset(g, s, t)
             assert got == want, f"trial {trial}: {got} != {want}"
             assert is_separating_cutset(g, s, t, got)
+
+    def test_against_flow_oracle(self):
+        """The greedy definition on scipy's max flow agrees on larger graphs."""
+        modes = set()
+        for trial in range(60):
+            rng = np.random.default_rng([92, trial])
+            n = int(rng.integers(10, 61))
+            g = support.random_digraph(rng, n, degree=rng.uniform(1.0, 3.0))
+            s = rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+            if trial % 6 == 0:  # overlapping terminals
+                t = [s[0]] + rng.choice(n, size=int(rng.integers(0, 3))).tolist()
+            elif trial % 6 == 1 and len(g.out_lists[s[0]]) > 1:  # adjacent terminals
+                t = [v for v in g.out_lists[s[0]] if v != s[0]][-1:]
+            else:
+                rest = np.setdiff1d(np.arange(n), s)
+                t = rng.choice(rest, size=int(rng.integers(1, 4)), replace=False).tolist()
+            got = min_separating_cutset(g, s, t)
+            assert got == support.greedy_min_cutset(g, s, t), f"trial {trial}"
+            assert is_separating_cutset(g, s, t, got)
+            modes.add(bool(set(got) & set(s + t)))
+        assert modes == {False, True}
+
+    def test_max_flows_bounded_by_cutset(self, monkeypatch):
+        """Max flow runs grow with the cutset, not with the number of nodes."""
+        g = random_geometric(200, 0.15, 7)
+        hops = {0: 0}
+        queue = [0]
+        for u in queue:
+            for v in g.out_lists[u]:
+                if v not in hops:
+                    hops[v] = hops[u] + 1
+                    queue.append(v)
+        far = sorted(hops, key=lambda v: (hops[v], v))[-2:]
+        calls = []
+        flow = netgraph._FlowNet.max_flow
+
+        def counting_flow(net, *args):
+            calls.append(1)
+            return flow(net, *args)
+
+        monkeypatch.setattr(netgraph._FlowNet, "max_flow", counting_flow)
+        cut = min_separating_cutset(g, [0], far)
+        assert cut and is_separating_cutset(g, [0], far, cut)
+        assert len(calls) <= len(cut) + 2
 
 
 class TestRandomGeometric:
