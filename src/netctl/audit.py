@@ -519,7 +519,7 @@ def audit_cutset(
     wt = target_block.array
     p = system.p
     f_min, _ = metrics.projection_security(system, kf, bundle)
-    if math.isinf(f_min):  # no target diagonal above UNREACHABLE_TOL
+    if math.isinf(f_min):  # every target diagonal is zero: no path reaches them
         return AuditReport(
             checks=tuple(
                 _not_applicable(cid, REL_SLACK, target_energy=0.0)

@@ -4,6 +4,15 @@ The system is x[k+1] = A x[k] + B u[k], y[k] = C x[k] with A the
 row-stochastic update matrix of an ergodic graph, B a 0-1 column selector for
 the source nodes and C a 0-1 row selector for the target nodes. The finite
 horizon Gramian is the sum over k < k_f of (A^k B)(A^k B)^T.
+
+compute_gramian makes one pass over the horizon. It stacks PANEL_STEPS
+consecutive X_k = A^k B into a panel (fewer when that would pass n columns,
+so a panel is never larger than W) and adds the panel's product with its
+own transpose, one BLAS-3 call per panel. Blocked summation of kf terms in
+panels of b bounds the rounding error by about (b + kf/b) u against kf u for
+adding one term at a time, which b = 64 keeps small up to kf of a few
+thousand; much wider panels lose digits again. The same panels carry the
+target rows C A^k B, the Markov blocks of the optimal input schedules.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from .errors import ConvergenceFailure, NotErgodic
 from .kernels import SymMatrix
 from .netgraph import WeightedDigraph, ergodicity, node_set
 
-PERRON_TOL = 1e-13
-PERRON_MAX_ITER = 10**6
+# Horizon steps per panel of compute_gramian: one product P P^T per panel.
+PANEL_STEPS = 64
 
 
 class ConsensusSystem:
@@ -76,10 +85,11 @@ class ConsensusSystem:
 class GramianBundle:
     """A Gramian with its horizon, and what metrics and audits read off it.
 
-    Principal blocks (with their eigenpairs and factors), block inverses and
-    Markov blocks are kept on first use, unless they are as large as W: W's
-    eigenvectors alone would take 8 MB at n = 1000, so an n x n block is
-    made afresh on each use instead.
+    Principal blocks (with their eigenpairs and factors) and block inverses
+    are kept on first use, and the target Markov blocks from the Gramian's
+    own build, unless they are as large as W: W's eigenvectors alone would
+    take 8 MB at n = 1000, so an n x n block is made afresh on each use
+    instead.
     """
 
     kf: int
@@ -89,15 +99,20 @@ class GramianBundle:
     def memo(self, key, make, *args):
         """The value kept under key, made by make(*args) on first use.
 
-        The value is a SymMatrix or a list of arrays.
+        The value is a SymMatrix or an array.
         """
         if key in self._memo:
             return self._memo[key]
         value = make(*args)
-        arrays = [value.array] if isinstance(value, SymMatrix) else value
-        if sum(a.nbytes for a in arrays) < self.W.array.nbytes:
+        array = value.array if isinstance(value, SymMatrix) else value
+        if _kept(array.size, self.W.order):
             self._memo[key] = value
         return value
+
+
+def _kept(entries: int, n: int) -> bool:
+    """Whether a bundle keeps a float array of this many entries next to W."""
+    return entries < n * n
 
 
 def _check_horizon(kf) -> int:
@@ -108,18 +123,37 @@ def _check_horizon(kf) -> int:
 
 
 def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
-    """Accumulate the horizon-kf controllability Gramian.
+    """Accumulate the horizon-kf controllability Gramian in panels.
 
-    Propagates X_k = A^k B one step at a time, summing X_k X_k^T for
-    k = 0..kf-1 in that order, and symmetrizes once at the end.
+    Propagates X_k = A^k B one step at a time into a panel of up to
+    PANEL_STEPS steps, and of at most n columns, and adds each panel P as one
+    product P P^T, panels in horizon order. When the bundle keeps arrays of
+    kf * p * m entries, the target rows of the panels also give the Markov
+    blocks C A^k B, kept under ("markov", targets) as one (kf, p, m) array.
     """
     kf = _check_horizon(kf)
-    x = system.B.copy()
-    w = np.zeros((system.n, system.n))
-    for _ in range(kf):
-        w += x @ x.T
-        x = system.A @ x
-    return GramianBundle(kf=kf, W=SymMatrix(w))
+    n, m, p = system.n, system.m, system.p
+    rows = list(system.targets)
+    markov = np.empty((kf, p, m)) if _kept(kf * p * m, n) else None
+    width = min(PANEL_STEPS, kf, n // m)
+    # panel[j] holds X_k^T, so each step is one row-major product
+    panel = np.empty((width, m, n))
+    w = np.zeros((n, n))
+    x = system.B.T.copy()
+    at = system.A.T
+    for start in range(0, kf, width):
+        steps = min(width, kf - start)
+        for j in range(steps):
+            panel[j] = x
+            x = x @ at
+        flat = panel[:steps].reshape(steps * m, n)
+        w += flat.T @ flat
+        if markov is not None:
+            markov[start : start + steps] = panel[:steps, :, rows].transpose(0, 2, 1)
+    bundle = GramianBundle(kf=kf, W=SymMatrix(w))
+    if markov is not None:
+        bundle.memo(("markov", system.targets), lambda: markov)
+    return bundle
 
 
 def bundle_for(
@@ -210,22 +244,18 @@ def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:
 def left_perron(system: ConsensusSystem) -> np.ndarray:
     """Left Perron vector of A: w > 0, sum(w) = 1, w^T A = w^T.
 
-    Power iteration on A^T, stopping when the stationarity residual drops
-    below PERRON_TOL in the max norm.
+    One direct solve of (I - A^T) w = 0 with its last equation replaced by
+    sum(w) = 1. For an ergodic A the null space of I - A^T is one-dimensional
+    and spanned by a positive vector, so the system is nonsingular.
     """
-    w = np.full(system.n, 1.0 / system.n)
-    at = system.A.T
-    for _ in range(PERRON_MAX_ITER):
-        nxt = at @ w
-        nxt /= nxt.sum()
-        if float(np.max(np.abs(nxt - w))) <= PERRON_TOL:
-            if float(nxt.min()) <= 0.0:
-                raise ConvergenceFailure("stationary vector has a non-positive entry")
-            return nxt
-        w = nxt
-    raise ConvergenceFailure(
-        f"left Perron iteration did not converge in {PERRON_MAX_ITER} steps"
-    )
+    lhs = np.eye(system.n) - system.A.T
+    lhs[-1] = 1.0
+    rhs = np.zeros(system.n)
+    rhs[-1] = 1.0
+    w = np.linalg.solve(lhs, rhs)
+    if float(w.min()) <= 0.0:
+        raise ConvergenceFailure("stationary vector has a non-positive entry")
+    return w
 
 
 @dataclass(frozen=True)

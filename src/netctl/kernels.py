@@ -1,9 +1,11 @@
 """Dense symmetric-matrix primitives with explicit numerical contracts.
 
-Everything here operates on small dense float64 matrices. Eigensolves and
-factorizations are delegated to LAPACK through numpy/scipy; the wrappers pin
-down ordering, sign conventions and failure behavior so callers get
-deterministic, checkable results.
+Everything here operates on small dense float64 matrices and needs numpy
+only. Eigensolves and the Cholesky factorization are delegated to LAPACK
+through numpy.linalg; the triangular solves behind solve_spd and
+explicit_inverse are blocked substitutions whose off-diagonal updates are
+matrix products. The wrappers pin down ordering, sign conventions and
+failure behavior so callers get deterministic, checkable results.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 
@@ -21,6 +22,8 @@ SYMMETRY_TOL = 1e-10
 SPD_RTOL = 1e-12
 
 CSV_FORMAT = "%.17g"
+# Triangular systems up to this order are solved row by row; larger ones split in two.
+SUBSTITUTION_BLOCK = 32
 
 
 class SymMatrix:
@@ -79,13 +82,12 @@ class SymMatrix:
         return float(self.values[0]) > SPD_RTOL * max(float(self.values[-1]), 1.0)
 
     @property
-    def cholesky(self):
-        """Read-only lower Cholesky factor (cho_factor form), kept; needs spd."""
+    def cholesky(self) -> np.ndarray:
+        """Read-only lower Cholesky factor L with L L^T = M, kept; needs spd."""
         if self._cho is None:
             spd_check(self)
-            c, lower = scipy.linalg.cho_factor(self._a, lower=True, check_finite=False)
-            c.setflags(write=False)
-            self._cho = (c, lower)
+            self._cho = np.linalg.cholesky(self._a)
+            self._cho.setflags(write=False)
         return self._cho
 
     def submatrix(self, ids) -> "SymMatrix":
@@ -183,6 +185,35 @@ def spd_check(m) -> tuple[float, float]:
     return lo, hi
 
 
+def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """x with t x = b for a lower (or upper) triangular t, by substitution.
+
+    Blocks of order SUBSTITUTION_BLOCK or less go row by row; a larger
+    system is split in halves, the half solved first updates the other
+    half's right-hand side with one matrix product.
+    """
+    k = t.shape[0]
+    if k > SUBSTITUTION_BLOCK:
+        h = k // 2
+        if lower:
+            top = _solve_triangular(t[:h, :h], b[:h], True)
+            bottom = _solve_triangular(t[h:, h:], b[h:] - t[h:, :h] @ top, True)
+        else:
+            bottom = _solve_triangular(t[h:, h:], b[h:], False)
+            top = _solve_triangular(t[:h, :h], b[:h] - t[:h, h:] @ bottom, False)
+        return np.concatenate([top, bottom])
+    x = np.empty_like(b)
+    for i in range(k) if lower else range(k - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, k)
+        x[i] = (b[i] - t[i, done] @ x[done]) / t[i, i]
+    return x
+
+
+def _cholesky_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b: forward substitution with L, back substitution with L^T."""
+    return _solve_triangular(l.T, _solve_triangular(l, b, True), False)
+
+
 def solve_spd(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M.
 
@@ -196,17 +227,16 @@ def solve_spd(m, b) -> np.ndarray:
             f"right-hand side of length {rhs.shape[0]} for order {s.order}"
         )
     factor = s.cholesky
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x = _cholesky_solve(factor, rhs)
     # One refinement pass keeps the residual near roundoff for the
     # moderately conditioned matrices this package produces.
-    x = x + scipy.linalg.cho_solve(factor, rhs - s.array @ x, check_finite=False)
-    return x
+    return x + _cholesky_solve(factor, rhs - s.array @ x)
 
 
 def explicit_inverse(m) -> SymMatrix:
     """Dense inverse of a symmetric positive definite matrix, symmetrized."""
     s = _as_sym(m)
-    inv = scipy.linalg.cho_solve(s.cholesky, np.eye(s.order), check_finite=False)
+    inv = _cholesky_solve(s.cholesky, np.eye(s.order))
     return SymMatrix(0.5 * (inv + inv.T))
 
 

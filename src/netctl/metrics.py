@@ -4,6 +4,10 @@ All quantities derive from the Gramian block on the target set: the minimum
 input energy that moves the targets to a goal, the least-energy ("least
 secure") goal direction, per-projection and per-node energies, and the
 security floor obtained from the full-network Gramian.
+
+W sums squares of the nonnegative entries of A^k B, so a diagonal entry of
+W is 0.0 exactly when no path reaches its node within the horizon; any
+positive entry, however small, is a finite energy.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from .errors import (
 from .gramian import ConsensusSystem, GramianBundle, bundle_for, gramian_submatrix
 from .netgraph import node_set
 
-# Diagonal Gramian entries at or below this are treated as structural zeros.
-UNREACHABLE_TOL = 1e-14
 # A projection is degenerate when its quadratic form is below this times lambda_max.
 DEGENERATE_RTOL = 1e-14
 
@@ -125,12 +127,16 @@ def target_control_energy(
     return float(y @ kernels.solve_spd(q, y))
 
 
-def _markov_blocks(system: ConsensusSystem, kf: int) -> list[np.ndarray]:
-    """[C A^k B for k = 0..kf-1], each p x m."""
-    blocks = []
+def _markov_blocks(system: ConsensusSystem, kf: int) -> np.ndarray:
+    """C A^k B for k = 0..kf-1 as a (kf, p, m) array, propagating C A^k.
+
+    compute_gramian keeps the same blocks from its own pass when they are
+    smaller than W; this runs only when they are not.
+    """
+    blocks = np.empty((kf, system.p, system.m))
     y = system.C.copy()
-    for _ in range(kf):
-        blocks.append(y @ system.B)
+    for k in range(kf):
+        blocks[k] = y @ system.B
         y = y @ system.A
     return blocks
 
@@ -138,7 +144,7 @@ def _markov_blocks(system: ConsensusSystem, kf: int) -> list[np.ndarray]:
 def _schedule(system: ConsensusSystem, bundle: GramianBundle, v) -> np.ndarray:
     """Input schedule whose step i is (C A^(kf-1-i) B)^T v."""
     blocks = bundle.memo(("markov", system.targets), _markov_blocks, system, bundle.kf)
-    return np.array([block.T @ v for block in blocks[::-1]])
+    return (v @ blocks)[::-1]
 
 
 def optimal_target_input(
@@ -211,7 +217,7 @@ def projection_security(
     diag = np.diag(q)
     j = int(np.argmax(diag))
     top = float(diag[j])
-    return (1.0 / top if top > UNREACHABLE_TOL else math.inf), j
+    return (1.0 / top if top > 0.0 else math.inf), j
 
 
 def node_energy(
@@ -220,7 +226,7 @@ def node_energy(
     """Energy to move a single node's state by one unit at time kf."""
     (c,) = node_set([node], system.n)
     val = float(bundle_for(system, kf, bundle).W.array[c, c])
-    if val <= UNREACHABLE_TOL:
+    if val <= 0.0:
         raise NodeUnreachable(f"node {c} unreachable within horizon {kf}")
     return 1.0 / val
 
@@ -231,7 +237,7 @@ def node_energies(
     """Vector of per-node energies; unreachable nodes get inf."""
     diag = np.diag(bundle_for(system, kf, bundle).W.array)
     out = np.full(system.n, math.inf)
-    ok = diag > UNREACHABLE_TOL
+    ok = diag > 0.0
     out[ok] = 1.0 / diag[ok]
     return out
 
@@ -245,7 +251,7 @@ def cutset_energy(
         raise ValueError("cutset must be nonempty")
     diag = bundle_for(system, kf, bundle).W.array[list(ids), list(ids)]
     top = float(diag.max())
-    if top <= UNREACHABLE_TOL:
+    if top <= 0.0:
         raise NodeUnreachable(f"no cutset node reachable within horizon {kf}")
     return 1.0 / top
 

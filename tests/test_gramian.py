@@ -1,5 +1,7 @@
 """Gramian accumulation, impulse cross-checks, horizons, Perron asymptotics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from netctl import (
     impulse_response,
     left_perron,
     min_positive_horizon,
+    optimal_target_input,
+    random_geometric,
+    solve_spd,
 )
+from netctl import metrics
+
+# Horizons on both sides of one and two panel boundaries (PANEL_STEPS = 64).
+PANEL_HORIZONS = (63, 64, 65, 131)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +84,77 @@ class TestComputeGramian:
             oracle = support.naive_gramian(sysr.A, sysr.B, kf)
             scale = max(1.0, np.max(np.abs(oracle)))
             assert np.max(np.abs(w - oracle)) <= 1e-12 * scale
+        # n >= PANEL_STEPS * m, so the panels are full width; with every node
+        # a source (m = n = 8) a panel holds one step
+        for m, n in ((1, 200), (3, 200), (8, 8)):
+            sysr = support.random_ergodic_system([42, 100 + m], n, n, num_sources=m)
+            for kf in PANEL_HORIZONS:
+                w = compute_gramian(sysr, kf).W.array
+                oracle = support.naive_gramian(sysr.A, sysr.B, kf)
+                assert np.max(np.abs(w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_build_memory_stays_within_a_few_gramians(self):
+        """Every node a source and a target: no kf-long array, no wide panel."""
+        g = random_geometric(100, 0.3, 3)
+        sysr = ConsensusSystem(g, range(100), range(100))
+        kf = 65
+        tracemalloc.start()
+        try:
+            compute_gramian(sysr, kf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * sysr.n**2 * 8
+
+
+def _not_kept():
+    raise AssertionError("the build did not keep the Markov blocks")
+
+
+def _markov_oracle(system, kf):
+    powers = (np.linalg.matrix_power(system.A, k) for k in range(kf))
+    return np.array([system.C @ a_k @ system.B for a_k in powers])
+
+
+class TestMarkovBlocks:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_kept_blocks_match_powers(self, m):
+        """Below n^2 entries the build keeps C A^k B for every k < kf."""
+        sysr = support.random_ergodic_system(
+            [50, m], 200, 200, num_sources=m, num_targets=2
+        )
+        for kf in PANEL_HORIZONS:
+            assert kf * sysr.p * sysr.m < sysr.n**2
+            bundle = compute_gramian(sysr, kf)
+            kept = bundle.memo(("markov", sysr.targets), _not_kept)
+            assert kept.shape == (kf, sysr.p, sysr.m)
+            oracle = _markov_oracle(sysr, kf)
+            np.testing.assert_allclose(kept, oracle, rtol=1e-12, atol=1e-15)
+
+    def test_declined_blocks_give_the_same_schedule(self, monkeypatch):
+        """With every node a target the blocks are rebuilt, by left propagation."""
+        g = random_geometric(8, 0.6, 5)
+        sysr = ConsensusSystem(g, [0], range(8))
+        kf = 65
+        assert kf * sysr.p * sysr.m >= sysr.n**2
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return markov_blocks(*args)
+
+        markov_blocks = metrics._markov_blocks
+        monkeypatch.setattr(metrics, "_markov_blocks", counted)
+        goal = np.linspace(1.0, 2.0, 8)
+        bundle = compute_gramian(sysr, kf)
+        seq = optimal_target_input(sysr, kf, goal, bundle)
+        assert len(calls) == 1
+        v = solve_spd(bundle.W, goal)
+        expected = np.array([blk.T @ v for blk in _markov_oracle(sysr, kf)[::-1]])
+        # each step sums block entries times v, so roundoff scales with |v|_1
+        assert np.max(np.abs(seq.u - expected)) <= 1e-13 * np.abs(v).sum()
+        optimal_target_input(sysr, kf, goal, bundle)
+        assert len(calls) == 2
 
 
 class TestSubmatrix:
@@ -179,6 +259,13 @@ class TestLeftPerron:
             assert np.max(np.abs(w @ sysr.A - w)) <= 1e-10
             assert w.min() > 0
             assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_direct_solve_residual_on_geometric_network(self):
+        g = random_geometric(200, 0.15, 7)
+        sysr = ConsensusSystem(g, [0], [1])
+        w = left_perron(sysr)
+        assert np.max(np.abs(w @ sysr.A - w)) <= 1e-14
+        assert w.min() > 0
 
 
 class TestAsymptoticDecomposition:

@@ -1,5 +1,8 @@
 """Numerical kernel tests: eigendecomposition, SPD solves, CSV round trips."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netctl
 from netctl import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -73,7 +77,7 @@ class TestSymMatrix:
 
     def test_kept_factorizations_are_read_only(self):
         s = SymMatrix(W2)
-        for kept in (s.eig.values, s.eig.vectors, s.cholesky[0]):
+        for kept in (s.eig.values, s.eig.vectors, s.cholesky):
             with pytest.raises(ValueError):
                 kept[0] = 7.0
         assert s.eig is s.eig and s.cholesky is s.cholesky
@@ -141,6 +145,67 @@ class TestSpdSolve:
             y = explicit_inverse(m).array @ b
             assert np.linalg.norm(x - y) <= 1e-8 * max(1.0, np.linalg.norm(y))
             assert np.linalg.norm(m.array @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def conditioning_ladder():
+    """(cond, SPD matrix of order 8 with that 2-norm condition) for 1e2 .. 1e10."""
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    for exponent in range(2, 11, 2):
+        cond = 10.0**exponent
+        values = np.logspace(0, -exponent, 8)
+        yield cond, SymMatrix((q * values) @ q.T)
+
+
+def scipy_cho_solve(m, b):
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(m.array), b)
+
+
+class TestAgainstScipyCholesky:
+    """solve_spd and explicit_inverse against scipy.linalg.cho_solve."""
+
+    def test_hilbert_6(self):
+        m = SymMatrix(scipy.linalg.hilbert(6))
+        cond = np.linalg.cond(m.array)
+        b = np.arange(1.0, 7.0)
+        ref = scipy_cho_solve(m, b)
+        assert np.linalg.norm(solve_spd(m, b) - ref) <= cond * 2**-52 * np.linalg.norm(ref)
+        inv_ref = scipy_cho_solve(m, np.eye(6))
+        err = np.max(np.abs(explicit_inverse(m).array - inv_ref))
+        assert err <= cond * 2**-52 * np.max(np.abs(inv_ref))
+
+    def test_conditioning_ladder(self):
+        b = np.linspace(-1.0, 2.0, 8)
+        for cond, m in conditioning_ladder():
+            ref = scipy_cho_solve(m, b)
+            x = solve_spd(m, b)
+            assert np.linalg.norm(x - ref) <= cond * 2**-52 * np.linalg.norm(ref)
+            inv_ref = scipy_cho_solve(m, np.eye(8))
+            err = np.max(np.abs(explicit_inverse(m).array - inv_ref))
+            assert err <= cond * 2**-52 * np.max(np.abs(inv_ref))
+
+    def test_blocked_substitution(self):
+        """Orders past one substitution block split in halves and still agree."""
+        rng = np.random.default_rng(13)
+        for order in (33, 70):
+            m = random_spd(rng, order)
+            b = rng.standard_normal((order, 3))
+            np.testing.assert_allclose(solve_spd(m, b), scipy_cho_solve(m, b), rtol=1e-12)
+            np.testing.assert_allclose(
+                explicit_inverse(m).array, scipy_cho_solve(m, np.eye(order)),
+                rtol=1e-10, atol=1e-14,
+            )
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy only: importing netctl pulls in no scipy module."""
+    code = "import sys, netctl; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(netctl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestExplicitInverse:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import support
 from netctl import (
+    ConsensusSystem,
     DegenerateProjection,
     DimensionMismatch,
     NodeUnreachable,
@@ -18,6 +19,7 @@ from netctl import (
     audit_cutset,
     audit_theorem1,
     audit_theorem2,
+    build_graph,
     compute_gramian,
     cutset_energy,
     full_target_security,
@@ -246,6 +248,23 @@ class TestNodeEnergies:
     def test_cutset_all_unreachable(self, chain):
         with pytest.raises(NodeUnreachable):
             cutset_energy(chain, 1, [2])
+
+    @pytest.mark.parametrize("kf", [20, 22])
+    def test_far_end_of_path_is_reachable(self, kf):
+        """A diagonal of W is zero only without a path; a tiny one is an energy.
+
+        On a 20-node averaging path the far end's W_ll is 1.7e-18 at kf = 20.
+        """
+        n = 20
+        edges = []
+        for i in range(n):
+            hood = [j for j in (i - 1, i, i + 1) if 0 <= j < n]
+            edges += [(j, i, 1.0 / len(hood)) for j in hood]
+        system = ConsensusSystem(build_graph(n, edges), [0], [n - 1])
+        w_ll = support.naive_gramian(system.A, system.B, kf)[n - 1, n - 1]
+        assert 0.0 < w_ll < 1e-14
+        assert node_energies(system, kf)[n - 1] == pytest.approx(1.0 / w_ll, rel=1e-12)
+        assert node_energy(system, kf, n - 1) == pytest.approx(1.0 / w_ll, rel=1e-12)
 
 
 class TestFullSecurity:
