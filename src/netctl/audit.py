@@ -37,8 +37,6 @@ NEG_SCALE = 1e-9
 SIMPLE_GAP = 1e-10
 # Entrywise floor for input nonnegativity claims.
 INPUT_TOL = 1e-10
-# Largest node set whose bipartitions are enumerated exhaustively.
-MAX_BIPARTITION_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -81,34 +79,6 @@ def merge_reports(*reports: AuditReport) -> AuditReport:
     for r in reports:
         checks.extend(r.checks)
     return AuditReport(checks=tuple(checks))
-
-
-@dataclass(frozen=True)
-class NegativeInverseGraph:
-    """Undirected graph on inverse-Gramian indices with an edge per negative entry."""
-
-    order: int
-    edges: tuple[tuple[int, int], ...]
-
-    def adjacency(self) -> np.ndarray:
-        pat = np.zeros((self.order, self.order), dtype=bool)
-        for i, j in self.edges:
-            pat[i, j] = pat[j, i] = True
-        return pat
-
-
-def negative_inverse_graph(r) -> NegativeInverseGraph:
-    """Graph whose edges {i, j} mark entries of R below -NEG_SCALE * max|R|."""
-    a = r.array if isinstance(r, kernels.SymMatrix) else np.asarray(r, dtype=float)
-    thresh = -NEG_SCALE * float(np.max(np.abs(a)))
-    order = a.shape[0]
-    edges = tuple(
-        (i, j)
-        for i in range(order)
-        for j in range(i + 1, order)
-        if a[i, j] < thresh
-    )
-    return NegativeInverseGraph(order=order, edges=edges)
 
 
 def _sample_rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -158,7 +128,8 @@ def audit_theorem1(
     T1.3 lambda_max(Q) <= lambda_max(W); strict at kf >= k* on a proper block.
     T1.4 R is symmetric positive definite; irreducible at kf >= k*.
     T1.5 at kf >= k*, every bipartition of the block has a negative entry in
-         its off-diagonal inverse block.
+         its off-diagonal inverse block. The largest over bipartitions of the
+         smallest such entry is the spanning-tree bottleneck of R.
     T1.6 with exactly two nodes, R has positive diagonal and nonpositive
          off-diagonal entries whenever it exists.
     Singular Q makes T1.4-T1.6 not applicable (they presuppose the inverse).
@@ -255,9 +226,8 @@ def audit_theorem1(
     eig_r_min = float(np.linalg.eigvalsh(r)[0])
     pd_ok = eig_r_min > 0.0
     if adequate:
-        pattern = np.abs(r) > NEG_SCALE * r_scale
-        np.fill_diagonal(pattern, False)
-        irreducible_ok = kernels.connected_undirected(pattern | pattern.T)
+        # the entries with |R_ij| > NEG_SCALE * scale connect every node
+        irreducible_ok = kernels.spanning_bottleneck(-np.abs(r)) < neg_thresh
     else:
         irreducible_ok = True
     checks.append(
@@ -270,35 +240,15 @@ def audit_theorem1(
         )
     )
 
-    if size == 1:
-        checks.append(
-            _not_applicable("T1.5", NEG_SCALE, bipartitions_checked=0.0)
-        )
-    elif size > MAX_BIPARTITION_ORDER:
-        raise ValueError(
-            f"bipartition audit limited to blocks of {MAX_BIPARTITION_ORDER} nodes"
-        )
-    elif not adequate:
-        checks.append(
-            _not_applicable("T1.5", NEG_SCALE, bipartitions_checked=0.0)
-        )
+    if size == 1 or not adequate:
+        checks.append(_not_applicable("T1.5", NEG_SCALE, block_order=float(size)))
     else:
-        worst = -math.inf
-        count = 0
-        for mask in range(1, 1 << (size - 1)):
-            part = [i for i in range(size - 1) if mask >> i & 1]
-            rest = [i for i in range(size) if i not in part]
-            block_min = float(r[np.ix_(part, rest)].min())
-            worst = max(worst, block_min)
-            count += 1
+        worst = kernels.spanning_bottleneck(r)
         checks.append(
             CheckResult(
                 id="T1.5",
                 holds=bool(worst < neg_thresh),
-                witness={
-                    "worst_block_min": worst,
-                    "bipartitions_checked": float(count),
-                },
+                witness={"worst_block_min": worst, "block_order": float(size)},
                 tolerance=NEG_SCALE,
                 horizon_adequate=True,
             )
@@ -349,16 +299,17 @@ def audit_corollary1(
                 ),
             )
         )
-    graph = negative_inverse_graph(_inverse_block(bundle, ids))
-    connected = kernels.connected_undirected(graph.adjacency())
+    r = _inverse_block(bundle, ids).array
+    # an edge {i, j} for each entry below -NEG_SCALE * max|R|
+    thresh = -NEG_SCALE * float(np.max(np.abs(r)))
     return AuditReport(
         checks=(
             CheckResult(
                 id="C1",
-                holds=bool(connected),
+                holds=bool(kernels.spanning_bottleneck(r) < thresh),
                 witness={
-                    "edges": float(len(graph.edges)),
-                    "order": float(graph.order),
+                    "edges": float(np.count_nonzero(np.triu(r < thresh, 1))),
+                    "order": float(len(ids)),
                 },
                 tolerance=NEG_SCALE,
                 horizon_adequate=True,

@@ -176,48 +176,6 @@ def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
     return bundle.memo(("block", ids), bundle.W.submatrix, ids)
 
 
-def impulse_response(system: ConsensusSystem, z: int, l: int, kf: int) -> np.ndarray:
-    """Response at node l to a unit impulse injected at source node z.
-
-    Entry k is the (l, z) entry of A^k, for k = 0..kf-1. z must be a source.
-    """
-    kf = _check_horizon(kf)
-    if z not in system.sources:
-        raise ValueError(f"node {z} is not a source")
-    (l,) = node_set([l], system.n)
-    x = np.zeros(system.n)
-    x[z] = 1.0
-    h = np.empty(kf)
-    for k in range(kf):
-        h[k] = x[l]
-        x = system.A @ x
-    return h
-
-
-def gramian_from_impulses(system: ConsensusSystem, node_ids, kf: int) -> SymMatrix:
-    """Gramian block assembled from per-source impulse responses.
-
-    Entry (a, b) is the sum over sources z of the inner product of the
-    length-kf responses at nodes a and b to an impulse at z. Serves as an
-    independent cross-check of compute_gramian + gramian_submatrix.
-    """
-    kf = _check_horizon(kf)
-    ids = node_set(node_ids, system.n)
-    if not ids:
-        raise ValueError("node set must be nonempty")
-    rows = list(ids)
-    q = np.zeros((len(ids), len(ids)))
-    for z in system.sources:
-        x = np.zeros(system.n)
-        x[z] = 1.0
-        h = np.empty((kf, len(ids)))
-        for k in range(kf):
-            h[k] = x[rows]
-            x = system.A @ x
-        q += h.T @ h
-    return SymMatrix(q)
-
-
 def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:
     """Smallest horizon k* making every source-to-node response positive.
 

@@ -240,30 +240,29 @@ def explicit_inverse(m) -> SymMatrix:
     return SymMatrix(0.5 * (inv + inv.T))
 
 
-def connected_undirected(adjacency) -> bool:
-    """Whether a 0-1 symmetric adjacency pattern forms one connected component.
+def spanning_bottleneck(w) -> float:
+    """Largest edge of a minimum spanning tree over the off-diagonal entries.
 
-    The diagonal is ignored. A single vertex with no edges is connected.
+    w is a symmetric array of finite weights, read as a complete graph; the
+    diagonal is ignored. By the cut property the result equals the max over
+    bipartitions (S, S^c) of min w[S, S^c], and the graph whose edges are the
+    entries below t is connected iff the result is below t. Order 0 or 1
+    gives -inf. Prim's algorithm on the dense matrix, O(k^2).
     """
-    pat = np.asarray(adjacency)
-    if pat.ndim != 2 or pat.shape[0] != pat.shape[1]:
-        raise DimensionMismatch(f"expected a square pattern, got shape {pat.shape}")
-    pat = pat != 0
-    if not np.array_equal(pat, pat.T):
-        raise ValueError("adjacency pattern is not symmetric")
-    k = pat.shape[0]
-    if k == 0:
-        return True
-    seen = np.zeros(k, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(pat[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    a = np.asarray(w, dtype=float)
+    k = a.shape[0]
+    if k < 2:
+        return -np.inf
+    # rest[:m] are the nodes outside the tree, reach[:m] their cheapest edge into it
+    rest = np.arange(1, k)
+    reach = a[0, 1:].copy()
+    worst = -np.inf
+    for m in range(k - 1, 0, -1):
+        j = int(np.argmin(reach[:m]))
+        worst, v = max(worst, reach[j]), rest[j]
+        reach[j], rest[j] = reach[m - 1], rest[m - 1]  # the last one outside fills slot j
+        np.minimum(reach[: m - 1], a[v, rest[: m - 1]], out=reach[: m - 1])
+    return float(worst)
 
 
 def save_matrix_csv(path, matrix) -> None:

@@ -23,7 +23,7 @@ from .errors import (
     IndexOutOfRange,
     RowSumError,
 )
-from .kernels import connected_undirected
+from .kernels import spanning_bottleneck
 
 ROW_SUM_TOL = 1e-12
 
@@ -113,11 +113,6 @@ class WeightedDigraph:
 
     def __repr__(self):
         return f"WeightedDigraph(n={self.n}, edges={len(self.edges)})"
-
-
-def build_graph(n: int, edges: Iterable[Sequence]) -> WeightedDigraph:
-    """Validate and build a WeightedDigraph from raw (from, to, weight) triples."""
-    return WeightedDigraph(n, edges)
 
 
 @dataclass(frozen=True)
@@ -403,10 +398,11 @@ def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
     for _ in range(1000):
         pts = rng.random((n, 2))
         diff = pts[:, None, :] - pts[None, :, :]
-        adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= radius * radius
-        np.fill_diagonal(adj, False)
-        if not connected_undirected(adj):
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+        if spanning_bottleneck(d2) > radius * radius:
             continue
+        adj = d2 <= radius * radius
+        np.fill_diagonal(adj, False)
         edges: list[Edge] = []
         for j in range(n):
             neighbors = np.flatnonzero(adj[:, j])

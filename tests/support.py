@@ -8,23 +8,24 @@ agreement is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
-from netctl import ConsensusSystem, WeightedDigraph, build_graph
+from netctl import ConsensusSystem, WeightedDigraph
 
 
 def two_node_system() -> ConsensusSystem:
     """Complete 2-node averaging network, source {0}, targets {0, 1}."""
-    g = build_graph(2, [(0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)])
+    g = WeightedDigraph(2, [(0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)])
     return ConsensusSystem(g, [0], [0, 1])
 
 
 def three_chain_system() -> ConsensusSystem:
     """3-node path with self-loops, source {0}, target {2}."""
-    g = build_graph(
+    g = WeightedDigraph(
         3,
         [
             (0, 0, 0.5),
@@ -65,7 +66,7 @@ def random_ergodic_graph(rng: np.random.Generator, n: int) -> WeightedDigraph:
         for u, w in zip(incoming, weights):
             raw[(u, v)] = float(w)
     edges = [(u, v, w) for (u, v), w in sorted(raw.items())]
-    return build_graph(n, edges)
+    return WeightedDigraph(n, edges)
 
 
 def random_digraph(rng: np.random.Generator, n: int, degree: float) -> WeightedDigraph:
@@ -81,7 +82,7 @@ def random_digraph(rng: np.random.Generator, n: int, degree: float) -> WeightedD
         weights = rng.uniform(0.2, 1.0, size=len(incoming))
         weights /= weights.sum()
         edges.extend((u, v, float(w)) for u, w in zip(incoming, weights))
-    return build_graph(n, edges)
+    return WeightedDigraph(n, edges)
 
 
 def random_ergodic_system(
@@ -230,6 +231,73 @@ def greedy_min_cutset(graph: WeightedDigraph, sources, targets) -> tuple[int, ..
             chosen.append(v)
             need -= 1
     return tuple(chosen)
+
+
+def impulse_response(system: ConsensusSystem, z: int, l: int, kf: int) -> np.ndarray:
+    """Response at node l to a unit impulse at source z: (A^k)[l, z] for k < kf."""
+    if z not in system.sources:
+        raise ValueError(f"node {z} is not a source")
+    x = np.zeros(system.n)
+    x[z] = 1.0
+    h = np.empty(kf)
+    for k in range(kf):
+        h[k] = x[l]
+        x = system.A @ x
+    return h
+
+
+def gramian_from_impulses(system: ConsensusSystem, node_ids, kf: int) -> np.ndarray:
+    """Gramian block from impulse responses, one source at a time.
+
+    Entry (a, b) sums over sources z the inner product of the length-kf
+    responses at nodes a and b to an impulse at z; nodes in ascending order.
+    """
+    rows = sorted(set(node_ids))
+    q = np.zeros((len(rows), len(rows)))
+    for z in system.sources:
+        h = np.array([impulse_response(system, z, l, kf) for l in rows])
+        q += h @ h.T
+    return q
+
+
+def bipartition_bottleneck(r: np.ndarray) -> float:
+    """max over bipartitions (S, S^c) of min r[S, S^c], by enumeration.
+
+    S ranges over the nonempty sets without the last index, so each
+    bipartition is seen once; -inf below order 2. Only viable for small
+    orders (2^(s-1) - 1 bipartitions).
+    """
+    size = r.shape[0]
+    worst = -math.inf
+    for mask in range(1, 1 << (size - 1)):
+        part = [i for i in range(size - 1) if mask >> i & 1]
+        rest = [i for i in range(size) if i not in part]
+        worst = max(worst, float(r[np.ix_(part, rest)].min()))
+    return worst
+
+
+def geometric_draws(n: int, radius: float, seed: int) -> tuple[WeightedDigraph, int]:
+    """The geometric generator's draw loop, judged by scipy's components.
+
+    Returns the graph of the first connected placement and the number of
+    placements drawn.
+    """
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, 1001):
+        pts = rng.random((n, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= radius * radius
+        np.fill_diagonal(adj, False)
+        if connected_components(csr_matrix(adj), directed=False)[0] != 1:
+            continue
+        edges = []
+        for j in range(n):
+            neighbors = np.flatnonzero(adj[:, j])
+            w = 1.0 / (len(neighbors) + 1)
+            edges.append((j, j, w))
+            edges.extend((int(i), j, w) for i in neighbors)
+        return WeightedDigraph(n, edges, positions=pts), attempt
+    raise AssertionError("no connected placement in 1000 attempts")
 
 
 def brute_reach_horizon(a: np.ndarray, sources, block) -> int:

@@ -10,7 +10,6 @@ from netctl import (
     ConsensusSystem,
     NotACutset,
     NotControllable,
-    SymMatrix,
     WeightedDigraph,
     audit_asymptotics,
     audit_corollary1,
@@ -19,8 +18,9 @@ from netctl import (
     audit_theorem2,
     merge_reports,
     min_positive_horizon,
-    negative_inverse_graph,
+    spanning_bottleneck,
 )
+from netctl.audit import NEG_SCALE
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ class TestTheorem1:
         checks = by_id(rep)
         assert checks["T1.5"].holds
         assert not checks["T1.5"].horizon_adequate
-        assert checks["T1.5"].witness["bipartitions_checked"] == 0.0
+        assert checks["T1.5"].witness["block_order"] == 1.0
         # T1.6 needs exactly two nodes
         assert checks["T1.6"].holds and not checks["T1.6"].horizon_adequate
 
@@ -72,14 +72,19 @@ class TestTheorem1:
         assert c.holds
         assert c.witness["lambda_max_block"] < c.witness["lambda_max_full"]
 
-    def test_oversized_bipartition_rejected(self):
-        # all nodes as sources keeps the block invertible, so the size
-        # guard is what fires
+    @pytest.mark.parametrize("size", [13, 20])
+    def test_large_block_audited(self, size):
+        # all nodes as sources keeps the block invertible
         sysr = support.random_ergodic_system(
-            [81, 0], n_low=13, n_high=13, num_sources=13
+            [81, 0], n_low=size, n_high=size, num_sources=size
         )
-        with pytest.raises(ValueError):
-            audit_theorem1(sysr, list(range(13)), 40)
+        ids = list(range(size))
+        kf = min_positive_horizon(sysr, ids) + 20
+        t15 = by_id(audit_theorem1(sysr, ids, kf))["T1.5"]
+        c1 = audit_corollary1(sysr, ids, kf).checks[0]
+        assert t15.horizon_adequate and t15.holds
+        assert t15.witness["block_order"] == float(size)
+        assert c1.holds == t15.holds
 
     def test_random_population(self):
         for trial in range(10):
@@ -91,10 +96,10 @@ class TestTheorem1:
 
 
 class TestNegativeInverseGraph:
-    def test_worked_edge(self):
-        g = negative_inverse_graph(SymMatrix([[1.0, -1.0], [-1.0, 5.0]]))
-        assert g.order == 2
-        assert g.edges == ((0, 1),)
+    def test_worked_edge(self, sys2):
+        assert spanning_bottleneck(np.array([[1.0, -1.0], [-1.0, 5.0]])) == -1.0
+        c = audit_corollary1(sys2, [0, 1], 2).checks[0]
+        assert c.witness == {"edges": 1.0, "order": 2.0}
 
     def test_order_one_connected(self, chain):
         rep = audit_corollary1(chain, [2], 8)
@@ -102,8 +107,8 @@ class TestNegativeInverseGraph:
         assert c.id == "C1" and c.holds
 
     def test_positive_offdiagonals_ignored(self):
-        g = negative_inverse_graph(SymMatrix([[2.0, 0.5], [0.5, 2.0]]))
-        assert g.edges == ()
+        r = np.array([[2.0, 0.5], [0.5, 2.0]])
+        assert not spanning_bottleneck(r) < -NEG_SCALE * 2.0
 
     def test_corollary_worked(self, sys2):
         rep = audit_corollary1(sys2, [0, 1], 2)

@@ -200,6 +200,16 @@ class TestAudit:
         assert ids[:7] == ["T1.1", "T1.2", "T1.3", "T1.4", "T1.5", "T1.6", "C1"]
         assert ids[7:] == ["T2.1", "T2.2", "T2.3", "T2.4"]
 
+    def test_theorem1_on_a_13_node_block(self, tmp_path, capsys):
+        sysr = support.random_ergodic_system([81, 0], n_low=13, n_high=13, num_sources=13)
+        path = tmp_path / "big.json"
+        save_network(path, sysr.graph, range(13), range(13))
+        code, out, _ = run(capsys, "audit", "--net", str(path), "--kf", "40", "--theorems", "1")
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks["T1.5"]["horizon_adequate"]
+        assert checks["T1.5"]["witness"]["block_order"] == 13.0
+
     def test_endpoint_cutset(self, tmp_path, capsys):
         net = write_chain(tmp_path)
         code, _, _ = run(

@@ -12,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netctl
+import support
 from netctl import (
     DimensionMismatch,
     NotPositiveDefinite,
     SymMatrix,
-    connected_undirected,
     explicit_inverse,
     load_matrix_csv,
     save_matrix_csv,
     solve_spd,
+    spanning_bottleneck,
     spd_check,
     sym_eig,
 )
@@ -244,17 +245,31 @@ class TestExplicitInverse:
 
 
 class TestConnectivity:
+    """The graph of entries below t is connected iff spanning_bottleneck < t."""
+
     def test_pair(self):
-        adj = np.array([[False, True], [True, False]])
-        assert connected_undirected(adj)
+        assert spanning_bottleneck(np.array([[0.0, -1.0], [-1.0, 0.0]])) == -1.0
 
     def test_isolated_vertex(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = adj[1, 0] = True
-        assert not connected_undirected(adj)
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = -1.0
+        assert spanning_bottleneck(w) == 0.0
 
     def test_single_vertex(self):
-        assert connected_undirected(np.zeros((1, 1), dtype=bool))
+        assert spanning_bottleneck(np.zeros((1, 1))) == -np.inf
+        assert spanning_bottleneck(np.zeros((0, 0))) == -np.inf
+
+    def test_matches_bipartition_enumeration(self):
+        """Bit-equal to max over bipartitions of the smallest crossing entry."""
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            k = 2 + trial % 9
+            if trial % 3 == 0:  # few distinct values: many tied entries
+                w = rng.integers(-3, 4, size=(k, k)).astype(float)
+            else:
+                w = rng.standard_normal((k, k)) * 10.0 ** rng.integers(-3, 4)
+            w = np.triu(w, 1) + np.triu(w, 1).T + np.diag(rng.standard_normal(k))
+            assert spanning_bottleneck(w) == support.bipartition_bottleneck(w), trial
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -15,11 +15,11 @@ from netctl import (
     DimensionMismatch,
     NodeUnreachable,
     NotControllable,
+    WeightedDigraph,
     audit_corollary1,
     audit_cutset,
     audit_theorem1,
     audit_theorem2,
-    build_graph,
     compute_gramian,
     cutset_energy,
     full_target_security,
@@ -260,7 +260,7 @@ class TestNodeEnergies:
         for i in range(n):
             hood = [j for j in (i - 1, i, i + 1) if 0 <= j < n]
             edges += [(j, i, 1.0 / len(hood)) for j in hood]
-        system = ConsensusSystem(build_graph(n, edges), [0], [n - 1])
+        system = ConsensusSystem(WeightedDigraph(n, edges), [0], [n - 1])
         w_ll = support.naive_gramian(system.A, system.B, kf)[n - 1, n - 1]
         assert 0.0 < w_ll < 1e-14
         assert node_energies(system, kf)[n - 1] == pytest.approx(1.0 / w_ll, rel=1e-12)

@@ -11,7 +11,7 @@ from netctl import (
     DuplicateEdge,
     IndexOutOfRange,
     RowSumError,
-    build_graph,
+    WeightedDigraph,
     ergodicity,
     is_separating_cutset,
     isolated_set,
@@ -47,40 +47,40 @@ def path_graph(n):
             incoming.append(v + 1)
         for u in incoming:
             pairs[(u, v)] = 1.0 / len(incoming)
-    return build_graph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())])
+    return WeightedDigraph(n, [(u, v, w) for (u, v), w in sorted(pairs.items())])
 
 
 class TestBuildGraph:
     def test_two_node_matrix(self):
-        g = build_graph(2, TWO_NODE_EDGES)
+        g = WeightedDigraph(2, TWO_NODE_EDGES)
         np.testing.assert_allclose(g.stochastic_matrix(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_row_sum_violation(self):
         with pytest.raises(RowSumError) as info:
-            build_graph(2, [(0, 0, 0.6), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)])
+            WeightedDigraph(2, [(0, 0, 0.6), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)])
         assert info.value.node == 0
         assert abs(info.value.total - 1.1) < 1e-12
 
     def test_chain_matrix(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         expected = [[0.5, 0.5, 0], [1 / 3, 1 / 3, 1 / 3], [0, 0.5, 0.5]]
         np.testing.assert_allclose(g.stochastic_matrix(), expected)
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
-            build_graph(2, [(0, 0, 0.5), (0, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0), (1, 1, 0.0)])
+            WeightedDigraph(2, [(0, 0, 0.5), (0, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0), (1, 1, 0.0)])
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            build_graph(2, [(0, 2, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
+            WeightedDigraph(2, [(0, 2, 1.0), (0, 0, 1.0), (1, 1, 1.0)])
 
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            build_graph(1, [(0, 0, 0.0)])
+            WeightedDigraph(1, [(0, 0, 0.0)])
 
     def test_orientation(self):
         # edge u->v contributes to row v of A
-        g = build_graph(2, [(0, 1, 1.0), (0, 0, 1.0)])
+        g = WeightedDigraph(2, [(0, 1, 1.0), (0, 0, 1.0)])
         a = g.stochastic_matrix()
         assert a[1, 0] == 1.0 and a[0, 1] == 0.0
 
@@ -98,49 +98,49 @@ class TestNodeSet:
 
 class TestErgodicity:
     def test_two_node_ergodic(self):
-        rep = ergodicity(build_graph(2, TWO_NODE_EDGES))
+        rep = ergodicity(WeightedDigraph(2, TWO_NODE_EDGES))
         assert rep.irreducible and rep.aperiodic and rep.period == 1
 
     def test_two_cycle_periodic(self):
-        g = build_graph(2, [(1, 0, 1.0), (0, 1, 1.0)])
+        g = WeightedDigraph(2, [(1, 0, 1.0), (0, 1, 1.0)])
         rep = ergodicity(g)
         assert rep.irreducible
         assert not rep.aperiodic
         assert rep.period == 2
 
     def test_disconnected(self):
-        g = build_graph(2, [(0, 0, 1.0), (1, 1, 1.0)])
+        g = WeightedDigraph(2, [(0, 0, 1.0), (1, 1, 1.0)])
         rep = ergodicity(g)
         assert not rep.irreducible
 
     def test_longer_period(self):
         # directed 3-cycle
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        g = WeightedDigraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
         rep = ergodicity(g)
         assert rep.irreducible and rep.period == 3
 
 
 class TestSeparation:
     def test_chain_interior(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         assert is_separating_cutset(g, [0], [2], [1])
 
     def test_chain_empty_fails(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         assert not is_separating_cutset(g, [0], [2], [])
 
     def test_endpoint_convention(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         assert is_separating_cutset(g, [0], [2], [0])
         assert is_separating_cutset(g, [0], [2], [2])
 
     def test_isolated_set_chain(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         assert isolated_set(g, [0], [1]) == (2,)
         assert isolated_set(g, [0], []) == ()
 
     def test_isolated_set_two_node(self):
-        g = build_graph(2, TWO_NODE_EDGES)
+        g = WeightedDigraph(2, TWO_NODE_EDGES)
         assert isolated_set(g, [0], [0]) == (1,)
 
     def test_separation_matches_isolation(self):
@@ -162,11 +162,11 @@ class TestSeparation:
 
 class TestMinCutset:
     def test_chain(self):
-        g = build_graph(3, CHAIN_EDGES)
+        g = WeightedDigraph(3, CHAIN_EDGES)
         assert min_separating_cutset(g, [0], [2]) == (1,)
 
     def test_two_node_endpoint_tiebreak(self):
-        g = build_graph(2, TWO_NODE_EDGES)
+        g = WeightedDigraph(2, TWO_NODE_EDGES)
         assert min_separating_cutset(g, [0], [1]) == (0,)
 
     def test_five_path_lex(self):
@@ -271,6 +271,14 @@ class TestRandomGeometric:
         with pytest.raises(ValueError):
             random_geometric(1, 0.5, seed=0)
 
+    @pytest.mark.parametrize("n, radius, seed, draws", [(100, 0.15, 7, 7), (50, 0.2, 0, 2)])
+    def test_matches_components_oracle(self, n, radius, seed, draws):
+        """Rejected placements are the ones scipy's components call disconnected."""
+        expected, drawn = support.geometric_draws(n, radius, seed)
+        assert drawn == draws
+        got = network_json(random_geometric(n, radius, seed), [0], [1])
+        assert got == network_json(expected, [0], [1])
+
 
 class TestNetworkFile:
     def test_roundtrip(self, tmp_path):
@@ -284,7 +292,7 @@ class TestNetworkFile:
         np.testing.assert_array_equal(g2.positions, g.positions)
 
     def test_keys_sorted(self, tmp_path):
-        g = build_graph(2, TWO_NODE_EDGES)
+        g = WeightedDigraph(2, TWO_NODE_EDGES)
         path = tmp_path / "net.json"
         save_network(path, g, [0], [1])
         obj = json.loads(path.read_text())
