@@ -1,10 +1,12 @@
 """Machine audits of the structural and asymptotic Gramian theorems.
 
-Each audit returns an AuditReport holding typed check results. A check whose
-hypotheses are not met at the given horizon (or that is structurally vacuous,
-like a bipartition condition on a single node) is reported with holds=True and
-horizon_adequate=False: not applicable, never a violation. holds=False is
-reserved for genuine counterexamples to a claim whose hypotheses were met.
+Each audit returns an AuditReport holding typed check results, every one made
+by _check. A check whose hypotheses are not met at the given horizon (or that
+is structurally vacuous, like a bipartition condition on a single node) is
+reported with horizon_adequate=False and judged only on the parts of its
+claim that hold at every horizon; T1.1 still demands a doubly nonnegative
+block below k*, and a check with no such part reports holds=True. holds=False
+is reserved for genuine counterexamples to a claim whose hypotheses were met.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from .errors import DegenerateProjection, NotACutset
 from .gramian import (
     ConsensusSystem,
     GramianBundle,
+    asymptotic_decomposition,
     bundle_for,
     compute_gramian,
     gramian_submatrix,
-    left_perron,
     min_positive_horizon,
 )
 from .netgraph import is_separating_cutset, node_set
@@ -75,10 +77,23 @@ class AuditReport:
 
 
 def merge_reports(*reports: AuditReport) -> AuditReport:
-    checks: list[CheckResult] = []
-    for r in reports:
-        checks.extend(r.checks)
-    return AuditReport(checks=tuple(checks))
+    return AuditReport(checks=tuple(c for r in reports for c in r.checks))
+
+
+def _check(check_id: str, tolerance: float, holds=True, adequate=True, at_kstar=True, **witness):
+    """One check result; the only place the not-applicable rule lives.
+
+    holds is the part of the claim judged at every horizon, at_kstar the part
+    judged only at an adequate horizon: the result holds iff holds and
+    (at_kstar or not adequate). adequate=False alone reports not applicable.
+    """
+    return CheckResult(
+        id=check_id,
+        holds=bool(holds and (at_kstar or not adequate)),
+        witness=witness,
+        tolerance=tolerance,
+        horizon_adequate=bool(adequate),
+    )
 
 
 def _sample_rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -94,26 +109,31 @@ def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
         norm = 1.0
     return v / norm
 
+
 def _unit_one_norm(rng: np.random.Generator, dim: int) -> np.ndarray:
     mags = rng.dirichlet(np.ones(dim))
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     return mags * signs
 
 
-def _not_applicable(check_id: str, tolerance: float, **witness: float) -> CheckResult:
-    return CheckResult(
-        id=check_id,
-        holds=True,
-        witness=witness,
-        tolerance=tolerance,
-        horizon_adequate=False,
-    )
+def _block(system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None):
+    """The node set, its positivity horizon k*, kf >= k*, the bundle and the block."""
+    ids = node_set(node_ids, system.n)
+    kstar = min_positive_horizon(system, ids)
+    bundle = bundle_for(system, kf, bundle)
+    return ids, kstar, kf >= kstar, bundle, gramian_submatrix(bundle, ids)
 
 
-def _inverse_block(bundle: GramianBundle, ids) -> kernels.SymMatrix:
-    """Inverse of the Gramian block on ids, computed once per bundle."""
+def _inverse_signs(bundle: GramianBundle, ids):
+    """R, max|R| and the threshold -NEG_SCALE * max|R| for the block on ids.
+
+    R is the block's inverse, kept per bundle; an entry of R below the
+    threshold counts as negative.
+    """
     block = gramian_submatrix(bundle, ids)
-    return bundle.memo(("inverse", ids), kernels.explicit_inverse, block)
+    r = bundle.memo(("inverse", ids), kernels.explicit_inverse, block)
+    scale = float(np.max(np.abs(r.array)))
+    return r, scale, -NEG_SCALE * scale
 
 
 def audit_theorem1(
@@ -134,142 +154,63 @@ def audit_theorem1(
          off-diagonal entries whenever it exists.
     Singular Q makes T1.4-T1.6 not applicable (they presuppose the inverse).
     """
-    ids = node_set(node_ids, system.n)
-    kstar = min_positive_horizon(system, ids)
-    adequate = kf >= kstar
-    bundle = bundle_for(system, kf, bundle)
-    q = gramian_submatrix(bundle, ids)
-    qa = q.array
+    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf, bundle)
     size = q.order
     eig_q = q.eig
+    lam_min, lam_max = eig_q.lambda_min, eig_q.lambda_max
     lam_w = float(bundle.W.values[-1])
-    checks: list[CheckResult] = []
-
-    min_entry = float(qa.min())
-    nonneg_ok = eig_q.lambda_min >= -REL_SLACK * max(eig_q.lambda_max, 0.0)
-    base_ok = min_entry >= -1e-12 and nonneg_ok
-    strict_ok = min_entry > 0.0 if adequate else True
-    checks.append(
-        CheckResult(
-            id="T1.1",
-            holds=bool(base_ok and strict_ok),
-            witness={
-                "min_entry": min_entry,
-                "lambda_min": eig_q.lambda_min,
-                "kstar": float(kstar),
-            },
-            tolerance=1e-12,
-            horizon_adequate=adequate,
-        )
-    )
-
-    if adequate:
-        gap = (
-            eig_q.lambda_max - float(eig_q.values[-2])
-            if size >= 2
-            else eig_q.lambda_max
-        )
-        simple_ok = gap > SIMPLE_GAP * eig_q.lambda_max
-        positive_vec = float(eig_q.dominant.min()) > 0.0
-    else:
-        gap = float("nan")
-        simple_ok = positive_vec = True
-    checks.append(
-        CheckResult(
-            id="T1.2",
-            holds=bool(nonneg_ok and simple_ok and positive_vec),
-            witness={
-                "lambda_min": eig_q.lambda_min,
-                "dominant_gap": gap if adequate else -1.0,
-                "eigvec_min": float(eig_q.dominant.min()),
-            },
-            tolerance=SIMPLE_GAP,
-            horizon_adequate=adequate,
-        )
-    )
-
-    bound_ok = eig_q.lambda_max <= lam_w * (1.0 + REL_SLACK)
+    min_entry = float(q.array.min())
+    nonneg_ok = lam_min >= -REL_SLACK * max(lam_max, 0.0)
+    gap = lam_max - float(eig_q.values[-2]) if size >= 2 else lam_max
+    eigvec_min = float(eig_q.dominant.min())
     proper = size < system.n
-    if adequate and proper:
-        strict_bound_ok = lam_w - eig_q.lambda_max > STRICT_GAP * lam_w
-    else:
-        strict_bound_ok = True
-    checks.append(
-        CheckResult(
-            id="T1.3",
-            holds=bool(bound_ok and strict_bound_ok),
-            witness={
-                "lambda_max_block": eig_q.lambda_max,
-                "lambda_max_full": lam_w,
-                "proper_block": float(proper),
-            },
-            tolerance=STRICT_GAP,
-            horizon_adequate=adequate,
-        )
-    )
-
+    checks = [
+        _check(
+            "T1.1", 1e-12, min_entry >= -1e-12 and nonneg_ok, adequate,
+            at_kstar=min_entry > 0.0, min_entry=min_entry, lambda_min=lam_min, kstar=float(kstar),
+        ),
+        _check(
+            "T1.2", SIMPLE_GAP, nonneg_ok, adequate,
+            at_kstar=gap > SIMPLE_GAP * lam_max and eigvec_min > 0.0,
+            lambda_min=lam_min, dominant_gap=gap if adequate else -1.0, eigvec_min=eigvec_min,
+        ),
+        _check(
+            "T1.3", STRICT_GAP, lam_max <= lam_w * (1.0 + REL_SLACK), adequate,
+            at_kstar=not proper or lam_w - lam_max > STRICT_GAP * lam_w,
+            lambda_max_block=lam_max, lambda_max_full=lam_w, proper_block=float(proper),
+        ),
+    ]
     if not q.spd:
-        for check_id in ("T1.4", "T1.5", "T1.6"):
-            checks.append(
-                _not_applicable(
-                    check_id,
-                    REL_SLACK,
-                    lambda_min=eig_q.lambda_min,
-                    invertible=0.0,
-                )
-            )
+        checks += [
+            _check(cid, REL_SLACK, adequate=False, lambda_min=lam_min, invertible=0.0)
+            for cid in ("T1.4", "T1.5", "T1.6")
+        ]
         return AuditReport(checks=tuple(checks))
 
-    r = _inverse_block(bundle, ids).array
-    r_scale = float(np.max(np.abs(r)))
-    neg_thresh = -NEG_SCALE * r_scale
-    eig_r_min = float(np.linalg.eigvalsh(r)[0])
-    pd_ok = eig_r_min > 0.0
-    if adequate:
-        # the entries with |R_ij| > NEG_SCALE * scale connect every node
-        irreducible_ok = kernels.spanning_bottleneck(-np.abs(r)) < neg_thresh
+    r, r_scale, neg_thresh = _inverse_signs(bundle, ids)
+    ra = r.array
+    eig_r_min = float(r.values[0])
+    # irreducible: the entries with |R_ij| > NEG_SCALE * scale connect every node
+    checks.append(_check(
+        "T1.4", NEG_SCALE, eig_r_min > 0.0, adequate,
+        at_kstar=kernels.spanning_bottleneck(-np.abs(ra)) < neg_thresh,
+        lambda_min_inverse=eig_r_min, scale=r_scale,
+    ))
+    if adequate and size > 1:
+        worst = kernels.spanning_bottleneck(ra)
+        checks.append(_check(
+            "T1.5", NEG_SCALE, worst < neg_thresh, worst_block_min=worst, block_order=float(size)
+        ))
     else:
-        irreducible_ok = True
-    checks.append(
-        CheckResult(
-            id="T1.4",
-            holds=bool(pd_ok and irreducible_ok),
-            witness={"lambda_min_inverse": eig_r_min, "scale": r_scale},
-            tolerance=NEG_SCALE,
-            horizon_adequate=adequate,
-        )
-    )
-
-    if size == 1 or not adequate:
-        checks.append(_not_applicable("T1.5", NEG_SCALE, block_order=float(size)))
+        checks.append(_check("T1.5", NEG_SCALE, adequate=False, block_order=float(size)))
+    if size == 2:
+        diag_min, off = float(min(ra[0, 0], ra[1, 1])), float(ra[0, 1])
+        checks.append(_check(
+            "T1.6", NEG_SCALE, diag_min > 0.0 and off <= NEG_SCALE * r_scale, adequate,
+            off_diagonal=off, diag_min=diag_min,
+        ))
     else:
-        worst = kernels.spanning_bottleneck(r)
-        checks.append(
-            CheckResult(
-                id="T1.5",
-                holds=bool(worst < neg_thresh),
-                witness={"worst_block_min": worst, "block_order": float(size)},
-                tolerance=NEG_SCALE,
-                horizon_adequate=True,
-            )
-        )
-
-    if size != 2:
-        checks.append(
-            _not_applicable("T1.6", NEG_SCALE, block_order=float(size))
-        )
-    else:
-        diag_ok = float(min(r[0, 0], r[1, 1])) > 0.0
-        off_ok = float(r[0, 1]) <= NEG_SCALE * r_scale
-        checks.append(
-            CheckResult(
-                id="T1.6",
-                holds=bool(diag_ok and off_ok),
-                witness={"off_diagonal": float(r[0, 1]), "diag_min": float(min(r[0, 0], r[1, 1]))},
-                tolerance=NEG_SCALE,
-                horizon_adequate=adequate,
-            )
-        )
+        checks.append(_check("T1.6", NEG_SCALE, adequate=False, block_order=float(size)))
     return AuditReport(checks=tuple(checks))
 
 
@@ -281,41 +222,20 @@ def audit_corollary1(
     Applicable once the block is invertible and kf reaches the positivity
     horizon; otherwise reported as not applicable.
     """
-    ids = node_set(node_ids, system.n)
-    kstar = min_positive_horizon(system, ids)
-    adequate = kf >= kstar
-    bundle = bundle_for(system, kf, bundle)
-    q = gramian_submatrix(bundle, ids)
-    invertible = q.spd
-    if not (invertible and adequate):
-        return AuditReport(
-            checks=(
-                _not_applicable(
-                    "C1",
-                    NEG_SCALE,
-                    lambda_min=float(q.values[0]),
-                    invertible=float(invertible),
-                    kstar=float(kstar),
-                ),
-            )
+    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf, bundle)
+    if not (q.spd and adequate):
+        check = _check(
+            "C1", NEG_SCALE, adequate=False,
+            lambda_min=float(q.values[0]), invertible=float(q.spd), kstar=float(kstar),
         )
-    r = _inverse_block(bundle, ids).array
-    # an edge {i, j} for each entry below -NEG_SCALE * max|R|
-    thresh = -NEG_SCALE * float(np.max(np.abs(r)))
-    return AuditReport(
-        checks=(
-            CheckResult(
-                id="C1",
-                holds=bool(kernels.spanning_bottleneck(r) < thresh),
-                witness={
-                    "edges": float(np.count_nonzero(np.triu(r < thresh, 1))),
-                    "order": float(len(ids)),
-                },
-                tolerance=NEG_SCALE,
-                horizon_adequate=True,
-            ),
-        )
+        return AuditReport(checks=(check,))
+    r, _, thresh = _inverse_signs(bundle, ids)
+    # an edge {i, j} for each entry below the threshold
+    check = _check(
+        "C1", NEG_SCALE, kernels.spanning_bottleneck(r.array) < thresh,
+        edges=float(np.count_nonzero(np.triu(r.array < thresh, 1))), order=float(len(ids)),
     )
+    return AuditReport(checks=(check,))
 
 
 def audit_theorem2(
@@ -339,32 +259,24 @@ def audit_theorem2(
     Raises NotControllable when the target block is singular at kf.
     """
     kstar = min_positive_horizon(system, system.targets)
-    adequate = kf >= kstar
     bundle = bundle_for(system, kf, bundle)
     e_min, y_min = metrics.target_security(system, kf, bundle)  # raises NotControllable
-    checks: list[CheckResult] = []
-    if not adequate:
-        for check_id in ("T2.1", "T2.2", "T2.3", "T2.4"):
-            checks.append(_not_applicable(check_id, REL_SLACK, kstar=float(kstar)))
-        return AuditReport(checks=tuple(checks))
+    if kf < kstar:
+        return AuditReport(checks=tuple(
+            _check(cid, REL_SLACK, adequate=False, kstar=float(kstar))
+            for cid in ("T2.1", "T2.2", "T2.3", "T2.4")
+        ))
 
     u_opt = metrics.optimal_target_input(system, kf, y_min, bundle)
-    checks.append(
-        CheckResult(
-            id="T2.1",
-            holds=bool(float(y_min.min()) > 0.0 and float(u_opt.u.min()) >= -INPUT_TOL),
-            witness={
-                "y_min_smallest": float(y_min.min()),
-                "input_smallest": float(u_opt.u.min()),
-            },
-            tolerance=INPUT_TOL,
-            horizon_adequate=True,
-        )
-    )
+    y_smallest, u_smallest = float(y_min.min()), float(u_opt.u.min())
+    checks = [_check(
+        "T2.1", INPUT_TOL, y_smallest > 0.0 and u_smallest >= -INPUT_TOL,
+        y_min_smallest=y_smallest, input_smallest=u_smallest,
+    )]
 
     p = system.p
     if p != 2:
-        checks.append(_not_applicable("T2.2", REL_SLACK, targets=float(p)))
+        checks.append(_check("T2.2", REL_SLACK, adequate=False, targets=float(p)))
     else:
         worst = -math.inf
         ok = True
@@ -375,15 +287,7 @@ def audit_theorem2(
             excess = e_abs - e_signed * (1.0 + REL_SLACK)
             worst = max(worst, excess)
             ok = ok and excess <= 0.0
-        checks.append(
-            CheckResult(
-                id="T2.2",
-                holds=bool(ok),
-                witness={"worst_excess": worst, "samples": float(samples)},
-                tolerance=REL_SLACK,
-                horizon_adequate=True,
-            )
-        )
+        checks.append(_check("T2.2", REL_SLACK, ok, worst_excess=worst, samples=float(samples)))
 
     worst = -math.inf
     input_min = math.inf
@@ -397,22 +301,13 @@ def audit_theorem2(
         ok = ok and excess <= 0.0
         u_proj = metrics.optimal_projection_input(system, kf, np.abs(a), bundle)
         input_min = min(input_min, float(u_proj.u.min()))
-    checks.append(
-        CheckResult(
-            id="T2.3",
-            holds=bool(ok and input_min >= -INPUT_TOL),
-            witness={
-                "worst_excess": worst,
-                "input_smallest": input_min,
-                "samples": float(samples),
-            },
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
+    checks.append(_check(
+        "T2.3", REL_SLACK, ok and input_min >= -INPUT_TOL,
+        worst_excess=worst, input_smallest=input_min, samples=float(samples),
+    ))
 
     if system.p == system.n:
-        checks.append(_not_applicable("T2.4", STRICT_GAP, targets=float(p)))
+        checks.append(_check("T2.4", STRICT_GAP, adequate=False, targets=float(p)))
     else:
         e_full = metrics.full_target_security(system, kf, bundle)
         f_min, _ = metrics.projection_security(system, kf, bundle)
@@ -422,15 +317,9 @@ def audit_theorem2(
         else:
             # one target: E_min and F_min are both 1/W_tt, equality is exact
             upper_ok = f_min >= e_min * (1.0 - REL_SLACK)
-        checks.append(
-            CheckResult(
-                id="T2.4",
-                holds=bool(lower_ok and upper_ok),
-                witness={"E_min_full": e_full, "E_min": e_min, "F_min": f_min},
-                tolerance=STRICT_GAP,
-                horizon_adequate=True,
-            )
-        )
+        checks.append(_check(
+            "T2.4", STRICT_GAP, lower_ok and upper_ok, E_min_full=e_full, E_min=e_min, F_min=f_min
+        ))
     return AuditReport(checks=tuple(checks))
 
 
@@ -460,9 +349,7 @@ def audit_cutset(
     if not ids:
         raise ValueError("cutset must be nonempty")
     if not is_separating_cutset(system.graph, system.sources, system.targets, ids):
-        raise NotACutset(
-            f"{ids} does not separate {system.sources} from {system.targets}"
-        )
+        raise NotACutset(f"{ids} does not separate {system.sources} from {system.targets}")
     bundle = bundle_for(system, kf, bundle)
     e_cut = metrics.cutset_energy(system, kf, ids, bundle)  # raises NodeUnreachable
     d_cut = 1.0 / e_cut
@@ -471,54 +358,17 @@ def audit_cutset(
     p = system.p
     f_min, _ = metrics.projection_security(system, kf, bundle)
     if math.isinf(f_min):  # every target diagonal is zero: no path reaches them
-        return AuditReport(
-            checks=tuple(
-                _not_applicable(cid, REL_SLACK, target_energy=0.0)
-                for cid in ("T3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3")
-            )
-        )
+        return AuditReport(checks=tuple(
+            _check(cid, REL_SLACK, adequate=False, target_energy=0.0)
+            for cid in ("T3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3")
+        ))
 
-    checks: list[CheckResult] = []
     max_entry = float(wt.max())
-    checks.append(
-        CheckResult(
-            id="T3.1",
-            holds=bool(max_entry <= d_cut * (1.0 + REL_SLACK)),
-            witness={"max_entry": max_entry, "cut_diagonal": d_cut},
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
-
     worst_form = -math.inf
     for i in range(samples):
         a = _unit_one_norm(_sample_rng(seed, 32, i), p)
         worst_form = max(worst_form, float(a @ wt @ a))
-    checks.append(
-        CheckResult(
-            id="T3.2",
-            holds=bool(worst_form <= d_cut * (1.0 + REL_SLACK)),
-            witness={
-                "worst_form": worst_form,
-                "cut_diagonal": d_cut,
-                "samples": float(samples),
-            },
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
-
     lam_max = float(target_block.values[-1])
-    checks.append(
-        CheckResult(
-            id="T3.3",
-            holds=bool(lam_max <= p * d_cut * (1.0 + REL_SLACK)),
-            witness={"lambda_max": lam_max, "bound": p * d_cut},
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
-
     worst_energy = math.inf
     for i in range(samples):
         a = _unit_one_norm(_sample_rng(seed, 41, i), p)
@@ -527,48 +377,37 @@ def audit_cutset(
         except DegenerateProjection:
             f = math.inf  # zero form: infinite energy, bound holds trivially
         worst_energy = min(worst_energy, f)
-    checks.append(
-        CheckResult(
-            id="T4.1",
-            holds=bool(worst_energy >= e_cut * (1.0 - REL_SLACK)),
-            witness={
-                "worst_energy": worst_energy,
-                "cut_energy": e_cut,
-                "samples": float(samples),
-            },
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
-
-    checks.append(
-        CheckResult(
-            id="T4.2",
-            holds=bool(f_min >= e_cut * (1.0 - REL_SLACK)),
-            witness={"F_min": f_min, "cut_energy": e_cut},
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
-    )
-
     e_min = 1.0 / lam_max
-    checks.append(
-        CheckResult(
-            id="T4.3",
-            holds=bool(e_min >= (e_cut / p) * (1.0 - REL_SLACK)),
-            witness={"E_min": e_min, "cut_energy_over_p": e_cut / p},
-            tolerance=REL_SLACK,
-            horizon_adequate=True,
-        )
+    d_top, e_low = d_cut * (1.0 + REL_SLACK), e_cut * (1.0 - REL_SLACK)
+    checks = (
+        _check("T3.1", REL_SLACK, max_entry <= d_top, max_entry=max_entry, cut_diagonal=d_cut),
+        _check(
+            "T3.2", REL_SLACK, worst_form <= d_top,
+            worst_form=worst_form, cut_diagonal=d_cut, samples=float(samples),
+        ),
+        _check(
+            "T3.3", REL_SLACK, lam_max <= p * d_cut * (1.0 + REL_SLACK),
+            lambda_max=lam_max, bound=p * d_cut,
+        ),
+        _check(
+            "T4.1", REL_SLACK, worst_energy >= e_low,
+            worst_energy=worst_energy, cut_energy=e_cut, samples=float(samples),
+        ),
+        _check("T4.2", REL_SLACK, f_min >= e_low, F_min=f_min, cut_energy=e_cut),
+        _check(
+            "T4.3", REL_SLACK, e_min >= (e_cut / p) * (1.0 - REL_SLACK),
+            E_min=e_min, cut_energy_over_p=e_cut / p,
+        ),
     )
-    return AuditReport(checks=tuple(checks))
+    return AuditReport(checks=checks)
 
 
 def audit_asymptotics(system: ConsensusSystem, node_ids, horizons) -> AuditReport:
     """Checks T5.1-T5.3: rank-one growth of the Gramian block.
 
     With s the block size, c(kf) = s * kf * (squared stationary source
-    weight), and H(kf) the block minus its rank-one growth term:
+    weight), and H(kf) the block minus its rank-one growth term, both from
+    asymptotic_decomposition:
     T5.1 max|H| at the last horizon is within 5% of its value at the median
          horizon (boundedness witness).
     T5.2 |lambda_max - c(kf)| satisfies the same 5% witness, and the dominant
@@ -587,83 +426,44 @@ def audit_asymptotics(system: ConsensusSystem, node_ids, horizons) -> AuditRepor
         raise ValueError("need at least two horizons")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError(f"horizons must be strictly ascending, got {horizons}")
-    kstar = max(
-        min_positive_horizon(system, ids),
-        min_positive_horizon(system, system.targets),
-    )
+    kstar = max(min_positive_horizon(system, ids), min_positive_horizon(system, system.targets))
     if horizons[0] < kstar:
-        raise ValueError(
-            f"every horizon must be at least the positivity horizon {kstar}"
-        )
-    w = left_perron(system)
-    weight = float(np.sum(w[list(system.sources)] ** 2))
-    size = len(ids)
-    p = system.p
+        raise ValueError(f"every horizon must be at least the positivity horizon {kstar}")
+    size, p = len(ids), system.p
     ones_dir = np.full(size, 1.0 / math.sqrt(size))
 
-    max_h: list[float] = []
-    lam_resid: list[float] = []
-    vec_dist: list[float] = []
-    sec_resid: list[float] = []
+    max_h, lam_resid, vec_dist, sec_resid = [], [], [], []
     for kf in horizons:
         bundle = compute_gramian(system, kf)
-        q = gramian_submatrix(bundle, ids)
-        coeff = kf * weight
-        h = q.array - coeff * np.ones((size, size))
-        max_h.append(float(np.max(np.abs(h))))
-        pairs = q.eig
-        lam_resid.append(abs(pairs.lambda_max - size * coeff))
+        dec = asymptotic_decomposition(system, ids, kf, bundle)
+        max_h.append(dec.residual_bound)
+        pairs = gramian_submatrix(bundle, ids).eig
+        lam_resid.append(abs(pairs.lambda_max - size * dec.rank_one_coefficient))
         vec_dist.append(float(np.max(np.abs(pairs.dominant - ones_dir))))
         e_min, _ = metrics.target_security(system, kf, bundle)  # raises NotControllable
-        sec_resid.append(abs(e_min * p * kf * weight - 1.0))
+        sec_resid.append(abs(e_min * p * kf * dec.perron_weight - 1.0))
 
-    median = horizons[len(horizons) // 2]
-    med_idx = horizons.index(median)
-    scale_last = max(1.0, size * horizons[-1] * weight)
+    med_idx = len(horizons) // 2
+    scale_last = max(1.0, size * horizons[-1] * dec.perron_weight)
 
     def per_horizon(tag: str, values: list[float]) -> dict[str, float]:
         return {f"{tag}_{kf}": v for kf, v in zip(horizons, values)}
 
-    checks: list[CheckResult] = []
     bounded_h = max_h[-1] <= 1.05 * max_h[med_idx] + 1e-12
-    checks.append(
-        CheckResult(
-            id="T5.1",
-            holds=bool(bounded_h),
-            witness=per_horizon("max_residual", max_h),
-            tolerance=0.05,
-            horizon_adequate=True,
-        )
-    )
-
     bounded_lam = lam_resid[-1] <= 1.05 * lam_resid[med_idx] + 1e-9 * scale_last
-    monotone_vec = all(
-        b <= a + 1e-12 for a, b in zip(vec_dist, vec_dist[1:])
-    )
-    checks.append(
-        CheckResult(
-            id="T5.2",
-            holds=bool(bounded_lam and monotone_vec),
-            witness={
-                **per_horizon("eigenvalue_residual", lam_resid),
-                **per_horizon("eigvec_distance", vec_dist),
-            },
-            tolerance=0.05,
-            horizon_adequate=True,
-        )
-    )
-
+    monotone_vec = all(b <= a + 1e-12 for a, b in zip(vec_dist, vec_dist[1:]))
     monotone_sec = all(
         b <= a * (1.0 + REL_SLACK) + 1e-15 for a, b in zip(sec_resid, sec_resid[1:])
     )
-    small_sec = sec_resid[-1] < 0.05
-    checks.append(
-        CheckResult(
-            id="T5.3",
-            holds=bool(monotone_sec and small_sec),
-            witness=per_horizon("security_residual", sec_resid),
-            tolerance=0.05,
-            horizon_adequate=True,
-        )
-    )
-    return AuditReport(checks=tuple(checks))
+    return AuditReport(checks=(
+        _check("T5.1", 0.05, bounded_h, **per_horizon("max_residual", max_h)),
+        _check(
+            "T5.2", 0.05, bounded_lam and monotone_vec,
+            **per_horizon("eigenvalue_residual", lam_resid),
+            **per_horizon("eigvec_distance", vec_dist),
+        ),
+        _check(
+            "T5.3", 0.05, monotone_sec and sec_resid[-1] < 0.05,
+            **per_horizon("security_residual", sec_resid),
+        ),
+    ))

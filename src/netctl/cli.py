@@ -136,6 +136,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    if (args.goal is None) != (args.input_out is None):
+        raise ValueError("--goal and --input-out must be given together")
     system = _load_system(args.net)
     bundle = compute_gramian(system, args.kf)
     report = metrics_mod.metrics_report(system, args.kf, bundle)
@@ -149,8 +151,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         )
         return 3
     if args.goal is not None:
-        if args.input_out is None:
-            raise ValueError("--goal requires --input-out for the optimal input")
         goal = np.ravel(load_matrix_csv(args.goal))
         seq = metrics_mod.optimal_target_input(system, args.kf, goal, bundle)
         save_matrix_csv(args.input_out, seq.u)
@@ -162,11 +162,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _audit_horizons(args: argparse.Namespace, system: ConsensusSystem) -> list[int]:
     if args.horizons is not None:
         return args.horizons
-    kstar = max(
-        min_positive_horizon(system, system.targets),
-        1,
-    )
-    base = max(args.kf, kstar)
+    base = max(args.kf, min_positive_horizon(system, system.targets))
     return [base, 2 * base, 4 * base]
 
 
@@ -201,20 +197,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
         cut_report = audit_mod.audit_cutset(
             system, args.kf, cutset, samples=args.samples, seed=args.seed, bundle=bundle
         )
-        wanted_prefixes = []
-        if 3 in requested:
-            wanted_prefixes.append("T3.")
-        if 4 in requested:
-            wanted_prefixes.append("T4.")
-        reports.append(
-            audit_mod.AuditReport(
-                checks=tuple(
-                    c
-                    for c in cut_report.checks
-                    if any(c.id.startswith(p) for p in wanted_prefixes)
-                )
-            )
-        )
+        # "T3.2" belongs to theorem 3
+        checks = tuple(c for c in cut_report.checks if int(c.id[1]) in requested)
+        reports.append(audit_mod.AuditReport(checks=checks))
     del bundle  # freed before theorem 5 builds its own horizons
     if 5 in requested:
         horizons = _audit_horizons(args, system)

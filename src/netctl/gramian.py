@@ -222,13 +222,13 @@ class AsymptoticDecomposition:
 
     The block on node set V satisfies W(V, kf) = coeff * ones + H where
     coeff = kf * sum of squared stationary weights over the sources, and the
-    entries of H stay bounded as kf grows.
+    entries of H stay bounded as kf grows. residual is H as a read-only array.
     """
 
     kf: int
     perron_weight: float
     rank_one_coefficient: float
-    residual: SymMatrix
+    residual: np.ndarray
     residual_bound: float
 
 
@@ -247,10 +247,11 @@ def asymptotic_decomposition(
     weight = float(np.sum(w[list(system.sources)] ** 2))
     coeff = kf * weight
     h = q - coeff * np.ones_like(q)
+    h.setflags(write=False)
     return AsymptoticDecomposition(
         kf=kf,
         perron_weight=weight,
         rank_one_coefficient=coeff,
-        residual=SymMatrix(h),
+        residual=h,
         residual_bound=float(np.max(np.abs(h))),
     )

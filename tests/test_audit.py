@@ -11,6 +11,7 @@ from netctl import (
     NotACutset,
     NotControllable,
     WeightedDigraph,
+    asymptotic_decomposition,
     audit_asymptotics,
     audit_corollary1,
     audit_cutset,
@@ -217,6 +218,20 @@ class TestAsymptotics:
     def test_singleton_block(self, sys2):
         rep = audit_asymptotics(sys2, [1], [50, 100, 200])
         assert not rep.violations()
+
+    @pytest.mark.parametrize("key", [0, 1, 2])
+    def test_max_residual_is_the_decomposition_bound(self, key):
+        """T5.1 reports asymptotic_decomposition's residual bound, bit for bit."""
+        sysr = support.random_ergodic_system([71, key], n_low=6, n_high=12, num_targets=2)
+        everyone = list(range(sysr.n))
+        base = min_positive_horizon(sysr, everyone) + 10
+        horizons = [base, 2 * base, 4 * base]
+        for ids in (sysr.targets, everyone):
+            witness = by_id(audit_asymptotics(sysr, ids, horizons))["T5.1"].witness
+            for h in horizons:
+                assert witness[f"max_residual_{h}"] == (
+                    asymptotic_decomposition(sysr, ids, h).residual_bound
+                )
 
     def test_horizon_validation(self, sys2):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, file formats, exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,9 @@ import pytest
 import support
 from netctl import cli, load_matrix_csv, save_network
 from netctl import audit as audit_mod
+
+DATA = pathlib.Path(__file__).parent / "data"
+README_NET = ("--n", "50", "--radius", "0.25", "--seed", "7", "--targets", "40,45")
 
 
 def write_two_node(tmp_path, targets=(0, 1)):
@@ -120,6 +124,17 @@ class TestMetrics:
         assert code == 2
         assert "error:" in err
 
+    def test_input_out_without_goal_exits_2(self, tmp_path, capsys):
+        net = write_two_node(tmp_path)
+        u_path = tmp_path / "u.csv"
+        code, out, err = run(
+            capsys, "metrics", "--net", net, "--kf", "2", "--input-out", str(u_path)
+        )
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+        assert not u_path.exists()
+
     def test_periodic_network_exits_4(self, tmp_path, capsys):
         net = tmp_path / "cycle.json"
         net.write_text(
@@ -209,6 +224,28 @@ class TestAudit:
         checks = {c["id"]: c for c in json.loads(out)["checks"]}
         assert checks["T1.5"]["horizon_adequate"]
         assert checks["T1.5"]["witness"]["block_order"] == 13.0
+
+    def test_readme_network_matches_golden_report(self, tmp_path, capsys):
+        """The README network's full audit against its recorded report and stderr.
+
+        Ids, verdicts, tolerances and witness keys must match exactly and
+        witness values to 1e-7; T5.3 fails at the default horizons 200, 400
+        and 800, so the run exits 5.
+        """
+        net = str(tmp_path / "net.json")
+        assert run(capsys, "gen", *README_NET, "--out", net)[0] == 0
+        code, out, err = run(capsys, "audit", "--net", net, "--kf", "200", "--min-cutset")
+        assert code == 5
+        assert err.splitlines() == (DATA / "readme_audit.stderr").read_text().splitlines()
+        checks = json.loads(out)["checks"]
+        golden = json.loads((DATA / "readme_audit.json").read_text())["checks"]
+        assert [c["id"] for c in checks] == [g["id"] for g in golden]
+        for c, g in zip(checks, golden):
+            for field in ("holds", "horizon_adequate", "tolerance"):
+                assert c[field] == g[field], (c["id"], field)
+            assert list(c["witness"]) == list(g["witness"]), c["id"]
+            for key, value in g["witness"].items():
+                assert c["witness"][key] == pytest.approx(value, rel=1e-7), (c["id"], key)
 
     def test_endpoint_cutset(self, tmp_path, capsys):
         net = write_chain(tmp_path)

@@ -272,14 +272,15 @@ class TestAsymptoticDecomposition:
         assert dec.perron_weight == pytest.approx(0.25, abs=1e-15)
         assert dec.rank_one_coefficient == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_allclose(
-            dec.residual.array, [[0.75, -0.25], [-0.25, -0.25]], atol=1e-12
+            dec.residual, [[0.75, -0.25], [-0.25, -0.25]], atol=1e-12
         )
+        assert not dec.residual.flags.writeable
         assert dec.residual_bound == pytest.approx(0.75, abs=1e-12)
 
     def test_single_step_definitional(self, sys2):
         dec = asymptotic_decomposition(sys2, [0, 1], 1)
         w1 = compute_gramian(sys2, 1).W.array
-        np.testing.assert_allclose(dec.residual.array, w1 - 0.25, atol=1e-15)
+        np.testing.assert_allclose(dec.residual, w1 - 0.25, atol=1e-15)
 
     def test_residual_bounded_as_horizon_doubles(self, chain):
         b50 = asymptotic_decomposition(chain, [0, 1, 2], 50).residual_bound
