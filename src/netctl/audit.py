@@ -96,24 +96,26 @@ def _check(check_id: str, tolerance: float, holds=True, adequate=True, at_kstar=
     )
 
 
-def _sample_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    # one independent substream per sample, so results do not depend on order
-    return np.random.default_rng([seed, tag, index])
-
-
 def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:  # pragma: no cover - essentially impossible
-        v[0] = 1.0
-        norm = 1.0
-    return v / norm
+    return v / float(np.linalg.norm(v))
 
 
 def _unit_one_norm(rng: np.random.Generator, dim: int) -> np.ndarray:
     mags = rng.dirichlet(np.ones(dim))
     signs = rng.integers(0, 2, size=dim) * 2 - 1
     return mags * signs
+
+
+def _draws(draw, seed: int, tag: int, samples: int, dim: int) -> np.ndarray:
+    """(samples, dim) draws; row i is draw(rng, dim) on its own stream [seed, tag, i]."""
+    rows = [draw(np.random.default_rng([seed, tag, i]), dim) for i in range(samples)]
+    return np.array(rows).reshape(samples, dim)
+
+
+def _forms(q: kernels.SymMatrix, alphas: np.ndarray) -> np.ndarray:
+    """alpha^T Q alpha for each row alpha of alphas."""
+    return np.einsum("ij,ij->i", alphas @ q.array, alphas)
 
 
 def _block(system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None):
@@ -172,7 +174,7 @@ def audit_theorem1(
         _check(
             "T1.2", SIMPLE_GAP, nonneg_ok, adequate,
             at_kstar=gap > SIMPLE_GAP * lam_max and eigvec_min > 0.0,
-            lambda_min=lam_min, dominant_gap=gap if adequate else -1.0, eigvec_min=eigvec_min,
+            lambda_min=lam_min, dominant_gap=gap if adequate else math.nan, eigvec_min=eigvec_min,
         ),
         _check(
             "T1.3", STRICT_GAP, lam_max <= lam_w * (1.0 + REL_SLACK), adequate,
@@ -275,34 +277,31 @@ def audit_theorem2(
     )]
 
     p = system.p
+    q = metrics.target_gramian(system, kf, bundle)
     if p != 2:
         checks.append(_check("T2.2", REL_SLACK, adequate=False, targets=float(p)))
     else:
-        worst = -math.inf
-        ok = True
-        for i in range(samples):
-            y = _unit_sphere(_sample_rng(seed, 22, i), p)
-            e_signed = metrics.target_control_energy(system, kf, y, bundle)
-            e_abs = metrics.target_control_energy(system, kf, np.abs(y), bundle)
-            excess = e_abs - e_signed * (1.0 + REL_SLACK)
-            worst = max(worst, excess)
-            ok = ok and excess <= 0.0
-        checks.append(_check("T2.2", REL_SLACK, ok, worst_excess=worst, samples=float(samples)))
+        y = _draws(_unit_sphere, seed, 22, samples, p)
+        goals = np.concatenate([y, np.abs(y)])
+        signed, absolute = np.split(np.einsum("ij,ji->i", goals, kernels.solve_spd(q, goals.T)), 2)
+        worst = float(np.max(absolute - signed * (1.0 + REL_SLACK), initial=-math.inf))
+        checks.append(_check(
+            "T2.2", REL_SLACK, worst <= 0.0, worst_excess=worst, samples=float(samples)
+        ))
 
-    worst = -math.inf
-    input_min = math.inf
-    ok = True
-    for i in range(samples):
-        a = _unit_sphere(_sample_rng(seed, 23, i), p)
-        f_signed = metrics.projection_energy(system, kf, a, bundle)
-        f_abs = metrics.projection_energy(system, kf, np.abs(a), bundle)
-        excess = f_abs - f_signed * (1.0 + REL_SLACK)
-        worst = max(worst, excess)
-        ok = ok and excess <= 0.0
-        u_proj = metrics.optimal_projection_input(system, kf, np.abs(a), bundle)
-        input_min = min(input_min, float(u_proj.u.min()))
+    a = _draws(_unit_sphere, seed, 23, samples, p)
+    forms = _forms(q, np.concatenate([a, np.abs(a)]))
+    if metrics._degenerate(q, forms).any():
+        raise DegenerateProjection("a sampled projection carries no reachable energy")
+    signed, absolute = np.split(forms, 2)
+    worst = float(np.max(1.0 / absolute - (1.0 / signed) * (1.0 + REL_SLACK), initial=-math.inf))
+    # optimal inputs for |a|, in stacks of schedules of at most max(n^2, 2^16) entries
+    rows, input_min = max(1, max(system.n**2, 1 << 16) // (kf * system.m)), math.inf
+    for i in range(0, samples, rows):
+        u = metrics._schedule(system, bundle, np.abs(a[i : i + rows]))
+        input_min = min(input_min, float(np.min(u / absolute[i : i + rows, None])))
     checks.append(_check(
-        "T2.3", REL_SLACK, ok and input_min >= -INPUT_TOL,
+        "T2.3", REL_SLACK, worst <= 0.0 and input_min >= -INPUT_TOL,
         worst_excess=worst, input_smallest=input_min, samples=float(samples),
     ))
 
@@ -354,7 +353,6 @@ def audit_cutset(
     e_cut = metrics.cutset_energy(system, kf, ids, bundle)  # raises NodeUnreachable
     d_cut = 1.0 / e_cut
     target_block = metrics.target_gramian(system, kf, bundle)
-    wt = target_block.array
     p = system.p
     f_min, _ = metrics.projection_security(system, kf, bundle)
     if math.isinf(f_min):  # every target diagonal is zero: no path reaches them
@@ -363,20 +361,14 @@ def audit_cutset(
             for cid in ("T3.1", "T3.2", "T3.3", "T4.1", "T4.2", "T4.3")
         ))
 
-    max_entry = float(wt.max())
-    worst_form = -math.inf
-    for i in range(samples):
-        a = _unit_one_norm(_sample_rng(seed, 32, i), p)
-        worst_form = max(worst_form, float(a @ wt @ a))
+    max_entry = float(target_block.array.max())
+    forms = _forms(target_block, _draws(_unit_one_norm, seed, 32, samples, p))
+    worst_form = float(np.max(forms, initial=-math.inf))
+    forms = _forms(target_block, _draws(_unit_one_norm, seed, 41, samples, p))
+    # degenerate forms are infinite energies; the least energy is 1 / the largest other form
+    top = float(np.max(forms[~metrics._degenerate(target_block, forms)], initial=0.0))
+    worst_energy = 1.0 / top if top > 0.0 else math.inf
     lam_max = float(target_block.values[-1])
-    worst_energy = math.inf
-    for i in range(samples):
-        a = _unit_one_norm(_sample_rng(seed, 41, i), p)
-        try:
-            f = metrics.projection_energy(system, kf, a, bundle)
-        except DegenerateProjection:
-            f = math.inf  # zero form: infinite energy, bound holds trivially
-        worst_energy = min(worst_energy, f)
     e_min = 1.0 / lam_max
     d_top, e_low = d_cut * (1.0 + REL_SLACK), e_cut * (1.0 - REL_SLACK)
     checks = (
@@ -442,6 +434,7 @@ def audit_asymptotics(system: ConsensusSystem, node_ids, horizons) -> AuditRepor
         vec_dist.append(float(np.max(np.abs(pairs.dominant - ones_dir))))
         e_min, _ = metrics.target_security(system, kf, bundle)  # raises NotControllable
         sec_resid.append(abs(e_min * p * kf * dec.perron_weight - 1.0))
+        del bundle  # so the next horizon's build is the only Gramian alive
 
     med_idx = len(horizons) // 2
     scale_last = max(1.0, size * horizons[-1] * dec.perron_weight)

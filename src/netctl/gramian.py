@@ -96,13 +96,13 @@ class GramianBundle:
     W: SymMatrix
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def memo(self, key, make, *args):
+    def memo(self, key, make=None, *args):
         """The value kept under key, made by make(*args) on first use.
 
-        The value is a SymMatrix or an array.
+        The value is a SymMatrix or an array; without make, None if not kept.
         """
-        if key in self._memo:
-            return self._memo[key]
+        if key in self._memo or make is None:
+            return self._memo.get(key)
         value = make(*args)
         array = value.array if isinstance(value, SymMatrix) else value
         if _kept(array.size, self.W.order):

@@ -112,9 +112,9 @@ def _controllable_block(system, kf, bundle) -> kernels.SymMatrix:
 def _goal_vector(system: ConsensusSystem, ybar) -> np.ndarray:
     y = np.asarray(ybar, dtype=float).reshape(-1)
     if y.shape[0] != system.p:
-        raise DimensionMismatch(
-            f"goal vector of length {y.shape[0]} for {system.p} targets"
-        )
+        raise DimensionMismatch(f"goal vector of length {y.shape[0]} for {system.p} targets")
+    if not np.isfinite(y).all():
+        raise ValueError("goal vector has a non-finite entry")
     return y
 
 
@@ -127,23 +127,25 @@ def target_control_energy(
     return float(y @ kernels.solve_spd(q, y))
 
 
-def _markov_blocks(system: ConsensusSystem, kf: int) -> np.ndarray:
-    """C A^k B for k = 0..kf-1 as a (kf, p, m) array, propagating C A^k.
+def _propagated_schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
+    """_schedule with no Markov blocks: step kf-1-j is v C A^j B, propagated in j."""
+    steps = np.empty((kf, *v.shape[:-1], system.m))
+    x = v @ system.C
+    for j in range(kf):
+        steps[j] = x @ system.B
+        x = x @ system.A
+    return steps[::-1]
 
-    compute_gramian keeps the same blocks from its own pass when they are
-    smaller than W; this runs only when they are not.
+
+def _schedule(system: ConsensusSystem, bundle: GramianBundle, v: np.ndarray) -> np.ndarray:
+    """Input schedule whose step i is (C A^(kf-1-i) B)^T v.
+
+    v is one goal (p,) or a stack (s, p), giving (kf, m) or (kf, s, m), from
+    the Markov blocks compute_gramian kept or else by propagating v.
     """
-    blocks = np.empty((kf, system.p, system.m))
-    y = system.C.copy()
-    for k in range(kf):
-        blocks[k] = y @ system.B
-        y = y @ system.A
-    return blocks
-
-
-def _schedule(system: ConsensusSystem, bundle: GramianBundle, v) -> np.ndarray:
-    """Input schedule whose step i is (C A^(kf-1-i) B)^T v."""
-    blocks = bundle.memo(("markov", system.targets), _markov_blocks, system, bundle.kf)
+    blocks = bundle.memo(("markov", system.targets))
+    if blocks is None:
+        return _propagated_schedule(system, bundle.kf, v)
     return (v @ blocks)[::-1]
 
 
@@ -175,15 +177,18 @@ def target_security(
     return 1.0 / pairs.lambda_max, pairs.dominant.copy()
 
 
+def _degenerate(q: kernels.SymMatrix, forms):
+    """Whether forms alpha^T Q alpha carry no reachable energy (elementwise)."""
+    return forms <= DEGENERATE_RTOL * float(q.values[-1])
+
+
 def _projection_form(system, kf, alpha, bundle) -> tuple[np.ndarray, float]:
     """alpha as a vector and its nondegenerate target-Gramian form alpha^T Q alpha."""
     a = _goal_vector(system, alpha)
     q = target_gramian(system, kf, bundle)
     form = float(a @ q.array @ a)
-    if form <= DEGENERATE_RTOL * float(q.values[-1]):
-        raise DegenerateProjection(
-            f"projection carries no reachable energy (form={form:.3e})"
-        )
+    if _degenerate(q, form):
+        raise DegenerateProjection(f"projection carries no reachable energy (form={form:.3e})")
     return a, form
 
 

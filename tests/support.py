@@ -1,8 +1,8 @@
 """Shared test fixtures: random ergodic systems and brute-force oracles.
 
 Oracles here are written independently of the library internals (direct
-matrix powers, stacked least squares, exhaustive subset search) so that
-agreement is evidence, not tautology.
+matrix powers, stacked least squares, exhaustive subset search, sampled
+checks one sample at a time) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -14,7 +14,17 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_flow
 
-from netctl import ConsensusSystem, WeightedDigraph
+from netctl import (
+    ConsensusSystem,
+    DegenerateProjection,
+    WeightedDigraph,
+    cutset_energy,
+    optimal_projection_input,
+    projection_energy,
+    target_control_energy,
+    target_gramian,
+)
+from netctl.audit import INPUT_TOL, REL_SLACK
 
 
 def two_node_system() -> ConsensusSystem:
@@ -310,3 +320,75 @@ def brute_reach_horizon(a: np.ndarray, sources, block) -> int:
         if np.all(p[np.ix_(rows, src)] > 0.0):
             return k
     raise AssertionError("no positive horizon within the search bound")
+
+
+def _sample_sphere(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+    v = np.random.default_rng([seed, tag, index]).standard_normal(dim)
+    return v / float(np.linalg.norm(v))
+
+
+def _sample_one_norm(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, tag, index])
+    mags = rng.dirichlet(np.ones(dim))
+    signs = rng.integers(0, 2, size=dim) * 2 - 1
+    return mags * signs
+
+
+def per_sample_theorem2(system, kf: int, samples: int, seed: int, bundle) -> dict:
+    """T2.2 and T2.3 judged one sample at a time through the single-goal API.
+
+    Draws come from the audit's per-sample streams [seed, tag, i]; T2.2 only
+    with two targets. Returns {check id: (holds, witness)}.
+    """
+    out = {}
+    if system.p == 2:
+        worst, ok = -math.inf, True
+        for i in range(samples):
+            y = _sample_sphere(seed, 22, i, system.p)
+            e_signed = target_control_energy(system, kf, y, bundle)
+            e_abs = target_control_energy(system, kf, np.abs(y), bundle)
+            excess = e_abs - e_signed * (1.0 + REL_SLACK)
+            worst = max(worst, excess)
+            ok = ok and excess <= 0.0
+        out["T2.2"] = (ok, {"worst_excess": worst})
+    worst, input_min, ok = -math.inf, math.inf, True
+    for i in range(samples):
+        a = _sample_sphere(seed, 23, i, system.p)
+        f_signed = projection_energy(system, kf, a, bundle)
+        f_abs = projection_energy(system, kf, np.abs(a), bundle)
+        excess = f_abs - f_signed * (1.0 + REL_SLACK)
+        worst = max(worst, excess)
+        ok = ok and excess <= 0.0
+        u_proj = optimal_projection_input(system, kf, np.abs(a), bundle)
+        input_min = min(input_min, float(u_proj.u.min()))
+    out["T2.3"] = (
+        ok and input_min >= -INPUT_TOL,
+        {"worst_excess": worst, "input_smallest": input_min},
+    )
+    return out
+
+
+def per_sample_cutset(system, kf: int, cutset, samples: int, seed: int, bundle) -> dict:
+    """T3.2 and T4.1 judged one sample at a time through the single-goal API.
+
+    A degenerate projection counts as an infinite energy. Returns
+    {check id: (holds, witness)}.
+    """
+    e_cut = cutset_energy(system, kf, cutset, bundle)
+    wt = target_gramian(system, kf, bundle).array
+    worst_form = -math.inf
+    for i in range(samples):
+        a = _sample_one_norm(seed, 32, i, system.p)
+        worst_form = max(worst_form, float(a @ wt @ a))
+    worst_energy = math.inf
+    for i in range(samples):
+        a = _sample_one_norm(seed, 41, i, system.p)
+        try:
+            f = projection_energy(system, kf, a, bundle)
+        except DegenerateProjection:
+            f = math.inf
+        worst_energy = min(worst_energy, f)
+    return {
+        "T3.2": (worst_form <= (1.0 / e_cut) * (1.0 + REL_SLACK), {"worst_form": worst_form}),
+        "T4.1": (worst_energy >= e_cut * (1.0 - REL_SLACK), {"worst_energy": worst_energy}),
+    }

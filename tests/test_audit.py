@@ -1,6 +1,8 @@
 """Theorem-audit tests: worked systems, not-applicable encoding, witnesses."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,14 @@ from netctl import (
     audit_cutset,
     audit_theorem1,
     audit_theorem2,
+    compute_gramian,
     merge_reports,
     min_positive_horizon,
+    min_separating_cutset,
+    random_geometric,
     spanning_bottleneck,
 )
+from netctl import metrics
 from netctl.audit import NEG_SCALE
 
 
@@ -57,6 +63,15 @@ class TestTheorem1:
             assert not checks[cid].horizon_adequate
             assert checks[cid].witness["invertible"] == 0.0
         assert not rep.violations()
+
+    def test_dominant_gap_null_below_horizon(self, sys2):
+        """Below k* T1.2 reports no gap (NaN, null in JSON), not a sentinel."""
+        rep = audit_theorem1(sys2, [0, 1], 1)
+        t12 = by_id(rep)["T1.2"]
+        assert not t12.horizon_adequate
+        assert math.isnan(t12.witness["dominant_gap"])
+        (entry,) = [c for c in rep.to_json_dict()["checks"] if c["id"] == "T1.2"]
+        assert entry["witness"]["dominant_gap"] is None
 
     def test_single_node_vacuous_bipartition(self, chain):
         rep = audit_theorem1(chain, [1], 6)
@@ -154,6 +169,56 @@ class TestTheorem2:
         assert a == b
 
 
+def assert_matches_loops(report, expected):
+    """holds exactly, witnesses within 1e-12 relative, against the per-sample loops."""
+    checks = by_id(report)
+    for cid, (holds, witness) in expected.items():
+        assert checks[cid].holds == holds, cid
+        for key, value in witness.items():
+            assert checks[cid].witness[key] == pytest.approx(value, rel=1e-12), (cid, key)
+
+
+def sampled_system(key):
+    """Seeded system: two targets for even keys (T2.2 applies), any count else."""
+    p = 2 if key % 2 == 0 else None
+    sysr = support.random_ergodic_system([83, key], 3, 9, num_targets=p)
+    return sysr, min_positive_horizon(sysr, sysr.targets) + key % 4
+
+
+class TestSampledChecksMatchLoops:
+    @pytest.mark.parametrize("samples", [0, 100])
+    @pytest.mark.parametrize("key", range(10))
+    def test_theorem2(self, key, samples):
+        sysr, kf = sampled_system(key)
+        bundle = compute_gramian(sysr, kf)
+        rep = audit_theorem2(sysr, kf, samples=samples, seed=key, bundle=bundle)
+        expected = support.per_sample_theorem2(sysr, kf, samples, key, bundle)
+        assert_matches_loops(rep, expected)
+
+    @pytest.mark.parametrize("rtol", [metrics.DEGENERATE_RTOL, 0.3, 1.0])
+    @pytest.mark.parametrize("key", range(10))
+    def test_cutset(self, key, rtol, monkeypatch):
+        """Raised degeneracy thresholds make some (0.3) or all (1.0) T4.1 energies infinite."""
+        monkeypatch.setattr(metrics, "DEGENERATE_RTOL", rtol)
+        sysr, kf = sampled_system(key)
+        cut = min_separating_cutset(sysr.graph, sysr.sources, sysr.targets)
+        bundle = compute_gramian(sysr, kf)
+        rep = audit_cutset(sysr, kf, cut, samples=100, seed=key, bundle=bundle)
+        expected = support.per_sample_cutset(sysr, kf, cut, 100, key, bundle)
+        assert_matches_loops(rep, expected)
+
+    def test_zero_samples_hold_with_infinite_witnesses(self, sys2, chain):
+        t2 = by_id(audit_theorem2(sys2, 2, samples=0))
+        cut = by_id(audit_cutset(chain, 10, [1], samples=0))
+        assert t2["T2.2"].witness["worst_excess"] == -math.inf
+        assert t2["T2.3"].witness["worst_excess"] == -math.inf
+        assert t2["T2.3"].witness["input_smallest"] == math.inf
+        assert cut["T3.2"].witness["worst_form"] == -math.inf
+        assert cut["T4.1"].witness["worst_energy"] == math.inf
+        for check in (t2["T2.2"], t2["T2.3"], cut["T3.2"], cut["T4.1"]):
+            assert check.holds and check.witness["samples"] == 0.0
+
+
 class TestCutsetAudits:
     def test_chain_interior_cutset(self, chain):
         rep = audit_cutset(chain, 10, [1], samples=40, seed=0)
@@ -232,6 +297,22 @@ class TestAsymptotics:
                 assert witness[f"max_residual_{h}"] == (
                     asymptotic_decomposition(sysr, ids, h).residual_bound
                 )
+
+    def test_one_gramian_alive_at_a_time(self):
+        """Each horizon's Gramian is dropped before the next one is built."""
+        sysr = ConsensusSystem(random_geometric(200, 0.15, 7), [0], [100, 150])
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build = peak(lambda: compute_gramian(sysr, 200))
+        audit = peak(lambda: audit_asymptotics(sysr, sysr.targets, [50, 100, 200]))
+        assert audit < 1.15 * build
 
     def test_horizon_validation(self, sys2):
         with pytest.raises(ValueError):

@@ -124,6 +124,22 @@ class TestMetrics:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_goal_exits_2(self, tmp_path, capsys, entry):
+        net = write_two_node(tmp_path)
+        goal = tmp_path / "goal.csv"
+        goal.write_text(f"1\n{entry}\n")
+        u_path = tmp_path / "u.csv"
+        code, out, err = run(
+            capsys,
+            "metrics", "--net", net, "--kf", "2",
+            "--goal", str(goal), "--input-out", str(u_path),
+        )
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+        assert not u_path.exists()
+
     def test_input_out_without_goal_exits_2(self, tmp_path, capsys):
         net = write_two_node(tmp_path)
         u_path = tmp_path / "u.csv"

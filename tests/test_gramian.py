@@ -130,7 +130,7 @@ class TestMarkovBlocks:
             np.testing.assert_allclose(kept, oracle, rtol=1e-12, atol=1e-15)
 
     def test_declined_blocks_give_the_same_schedule(self, monkeypatch):
-        """With every node a target the blocks are rebuilt, by left propagation."""
+        """With every node a target the goal is propagated instead of the blocks."""
         g = random_geometric(8, 0.6, 5)
         sysr = ConsensusSystem(g, [0], range(8))
         kf = 65
@@ -139,10 +139,10 @@ class TestMarkovBlocks:
 
         def counted(*args):
             calls.append(args)
-            return markov_blocks(*args)
+            return propagated(*args)
 
-        markov_blocks = metrics._markov_blocks
-        monkeypatch.setattr(metrics, "_markov_blocks", counted)
+        propagated = metrics._propagated_schedule
+        monkeypatch.setattr(metrics, "_propagated_schedule", counted)
         goal = np.linspace(1.0, 2.0, 8)
         bundle = compute_gramian(sysr, kf)
         seq = optimal_target_input(sysr, kf, goal, bundle)
@@ -153,6 +153,22 @@ class TestMarkovBlocks:
         assert np.max(np.abs(seq.u - expected)) <= 1e-13 * np.abs(v).sum()
         optimal_target_input(sysr, kf, goal, bundle)
         assert len(calls) == 2
+
+    def test_declined_schedule_memory_stays_within_a_few_gramians(self):
+        """Every node a source and a target: no (kf, p, m) array of blocks."""
+        g = random_geometric(100, 0.3, 3)
+        sysr = ConsensusSystem(g, range(100), range(100))
+        kf = 20
+        assert kf * sysr.p * sysr.m >= sysr.n**2
+        bundle = compute_gramian(sysr, kf)
+        goal = np.linspace(1.0, 2.0, 100)
+        tracemalloc.start()
+        try:
+            optimal_target_input(sysr, kf, goal, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * sysr.n**2 * 8
 
 
 class TestSubmatrix:
