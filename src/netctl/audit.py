@@ -20,10 +20,7 @@ from . import kernels, metrics
 from .errors import DegenerateProjection, NotACutset
 from .gramian import (
     ConsensusSystem,
-    GramianBundle,
     asymptotic_decomposition,
-    bundle_for,
-    compute_gramian,
     gramian_submatrix,
     min_positive_horizon,
 )
@@ -118,15 +115,15 @@ def _forms(q: kernels.SymMatrix, alphas: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", alphas @ q.array, alphas)
 
 
-def _block(system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None):
+def _block(system: ConsensusSystem, node_ids, kf: int):
     """The node set, its positivity horizon k*, kf >= k*, the bundle and the block."""
     ids = node_set(node_ids, system.n)
     kstar = min_positive_horizon(system, ids)
-    bundle = bundle_for(system, kf, bundle)
+    bundle = system.gramian(kf)
     return ids, kstar, kf >= kstar, bundle, gramian_submatrix(bundle, ids)
 
 
-def _inverse_signs(bundle: GramianBundle, ids):
+def _inverse_signs(bundle, ids):
     """R, max|R| and the threshold -NEG_SCALE * max|R| for the block on ids.
 
     R is the block's inverse, kept per bundle; an entry of R below the
@@ -138,9 +135,7 @@ def _inverse_signs(bundle: GramianBundle, ids):
     return r, scale, -NEG_SCALE * scale
 
 
-def audit_theorem1(
-    system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None = None
-) -> AuditReport:
+def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     """Checks T1.1-T1.6 on the Gramian block Q of node_ids and its inverse R.
 
     T1.1 Q is symmetric, positive semidefinite, entrywise nonnegative, and
@@ -156,7 +151,7 @@ def audit_theorem1(
          off-diagonal entries whenever it exists.
     Singular Q makes T1.4-T1.6 not applicable (they presuppose the inverse).
     """
-    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf, bundle)
+    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf)
     size = q.order
     eig_q = q.eig
     lam_min, lam_max = eig_q.lambda_min, eig_q.lambda_max
@@ -216,15 +211,13 @@ def audit_theorem1(
     return AuditReport(checks=tuple(checks))
 
 
-def audit_corollary1(
-    system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None = None
-) -> AuditReport:
+def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     """Check C1: the negative-entry graph of the inverse block is connected.
 
     Applicable once the block is invertible and kf reaches the positivity
     horizon; otherwise reported as not applicable.
     """
-    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf, bundle)
+    ids, kstar, adequate, bundle, q = _block(system, node_ids, kf)
     if not (q.spd and adequate):
         check = _check(
             "C1", NEG_SCALE, adequate=False,
@@ -241,11 +234,7 @@ def audit_corollary1(
 
 
 def audit_theorem2(
-    system: ConsensusSystem,
-    kf: int,
-    samples: int = 100,
-    seed: int = 0,
-    bundle: GramianBundle | None = None,
+    system: ConsensusSystem, kf: int, samples: int = 100, seed: int = 0
 ) -> AuditReport:
     """Checks T2.1-T2.4 on the target set.
 
@@ -261,15 +250,14 @@ def audit_theorem2(
     Raises NotControllable when the target block is singular at kf.
     """
     kstar = min_positive_horizon(system, system.targets)
-    bundle = bundle_for(system, kf, bundle)
-    e_min, y_min = metrics.target_security(system, kf, bundle)  # raises NotControllable
+    e_min, y_min = metrics.target_security(system, kf)  # raises NotControllable
     if kf < kstar:
         return AuditReport(checks=tuple(
             _check(cid, REL_SLACK, adequate=False, kstar=float(kstar))
             for cid in ("T2.1", "T2.2", "T2.3", "T2.4")
         ))
 
-    u_opt = metrics.optimal_target_input(system, kf, y_min, bundle)
+    u_opt = metrics.optimal_target_input(system, kf, y_min)
     y_smallest, u_smallest = float(y_min.min()), float(u_opt.u.min())
     checks = [_check(
         "T2.1", INPUT_TOL, y_smallest > 0.0 and u_smallest >= -INPUT_TOL,
@@ -277,7 +265,7 @@ def audit_theorem2(
     )]
 
     p = system.p
-    q = metrics.target_gramian(system, kf, bundle)
+    q = metrics.target_gramian(system, kf)
     if p != 2:
         checks.append(_check("T2.2", REL_SLACK, adequate=False, targets=float(p)))
     else:
@@ -298,7 +286,7 @@ def audit_theorem2(
     # optimal inputs for |a|, in stacks of schedules of at most max(n^2, 2^16) entries
     rows, input_min = max(1, max(system.n**2, 1 << 16) // (kf * system.m)), math.inf
     for i in range(0, samples, rows):
-        u = metrics._schedule(system, bundle, np.abs(a[i : i + rows]))
+        u = metrics._schedule(system, kf, np.abs(a[i : i + rows]))
         input_min = min(input_min, float(np.min(u / absolute[i : i + rows, None])))
     checks.append(_check(
         "T2.3", REL_SLACK, worst <= 0.0 and input_min >= -INPUT_TOL,
@@ -308,8 +296,8 @@ def audit_theorem2(
     if system.p == system.n:
         checks.append(_check("T2.4", STRICT_GAP, adequate=False, targets=float(p)))
     else:
-        e_full = metrics.full_target_security(system, kf, bundle)
-        f_min, _ = metrics.projection_security(system, kf, bundle)
+        e_full = metrics.full_target_security(system, kf)
+        f_min, _ = metrics.projection_security(system, kf)
         lower_ok = e_min - e_full > STRICT_GAP * e_min
         if p >= 2:
             upper_ok = f_min - e_min > STRICT_GAP * f_min
@@ -323,12 +311,7 @@ def audit_theorem2(
 
 
 def audit_cutset(
-    system: ConsensusSystem,
-    kf: int,
-    cutset,
-    samples: int = 100,
-    seed: int = 0,
-    bundle: GramianBundle | None = None,
+    system: ConsensusSystem, kf: int, cutset, samples: int = 100, seed: int = 0
 ) -> AuditReport:
     """Checks T3.1-T3.3 and T4.1-T4.3 for a separating cutset.
 
@@ -349,12 +332,11 @@ def audit_cutset(
         raise ValueError("cutset must be nonempty")
     if not is_separating_cutset(system.graph, system.sources, system.targets, ids):
         raise NotACutset(f"{ids} does not separate {system.sources} from {system.targets}")
-    bundle = bundle_for(system, kf, bundle)
-    e_cut = metrics.cutset_energy(system, kf, ids, bundle)  # raises NodeUnreachable
+    e_cut = metrics.cutset_energy(system, kf, ids)  # raises NodeUnreachable
     d_cut = 1.0 / e_cut
-    target_block = metrics.target_gramian(system, kf, bundle)
+    target_block = metrics.target_gramian(system, kf)
     p = system.p
-    f_min, _ = metrics.projection_security(system, kf, bundle)
+    f_min, _ = metrics.projection_security(system, kf)
     if math.isinf(f_min):  # every target diagonal is zero: no path reaches them
         return AuditReport(checks=tuple(
             _check(cid, REL_SLACK, adequate=False, target_energy=0.0)
@@ -426,15 +408,13 @@ def audit_asymptotics(system: ConsensusSystem, node_ids, horizons) -> AuditRepor
 
     max_h, lam_resid, vec_dist, sec_resid = [], [], [], []
     for kf in horizons:
-        bundle = compute_gramian(system, kf)
-        dec = asymptotic_decomposition(system, ids, kf, bundle)
+        dec = asymptotic_decomposition(system, ids, kf)
         max_h.append(dec.residual_bound)
-        pairs = gramian_submatrix(bundle, ids).eig
+        pairs = gramian_submatrix(system.gramian(kf), ids).eig
         lam_resid.append(abs(pairs.lambda_max - size * dec.rank_one_coefficient))
         vec_dist.append(float(np.max(np.abs(pairs.dominant - ones_dir))))
-        e_min, _ = metrics.target_security(system, kf, bundle)  # raises NotControllable
+        e_min, _ = metrics.target_security(system, kf)  # raises NotControllable
         sec_resid.append(abs(e_min * p * kf * dec.perron_weight - 1.0))
-        del bundle  # so the next horizon's build is the only Gramian alive
 
     med_idx = len(horizons) // 2
     scale_last = max(1.0, size * horizons[-1] * dec.perron_weight)

@@ -5,7 +5,7 @@ Subcommands: gen, metrics, audit, node-energies. Exit codes: 0 success,
 4 network not ergodic, 5 audit violation, 6 supplied set is not a
 separating cutset. All JSON output has sorted keys; CSV numbers use
 17-significant-digit formatting. A command builds the Gramian at kf once;
-audit theorem 5 builds its own horizons.
+T5 reuses kf as its first horizon.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     NotControllable,
     NotErgodic,
 )
-from .gramian import ConsensusSystem, compute_gramian, min_positive_horizon
+from .gramian import ConsensusSystem, min_positive_horizon
 from .kernels import CSV_FORMAT, load_matrix_csv, save_matrix_csv
 from .netgraph import load_network, min_separating_cutset, network_json, random_geometric
 
@@ -139,8 +139,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if (args.goal is None) != (args.input_out is None):
         raise ValueError("--goal and --input-out must be given together")
     system = _load_system(args.net)
-    bundle = compute_gramian(system, args.kf)
-    report = metrics_mod.metrics_report(system, args.kf, bundle)
+    report = metrics_mod.metrics_report(system, args.kf)
     payload = report.to_json_dict()
     if not report.controllable:
         _emit_json(payload, args.out)
@@ -152,7 +151,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return 3
     if args.goal is not None:
         goal = np.ravel(load_matrix_csv(args.goal))
-        seq = metrics_mod.optimal_target_input(system, args.kf, goal, bundle)
+        seq = metrics_mod.optimal_target_input(system, args.kf, goal)
         save_matrix_csv(args.input_out, seq.u)
         payload["E"] = seq.energy
     _emit_json(payload, args.out)
@@ -172,18 +171,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if bad or not requested:
         raise ValueError(f"--theorems must be a nonempty subset of 1..5, got {args.theorems}")
     system = _load_system(args.net)
-    # Theorems 1-4 read one Gramian at kf. With only 3 or 4 requested,
-    # audit_cutset builds it after it has checked the cutset.
-    bundle = compute_gramian(system, args.kf) if requested[0] < 3 else None
     reports = []
     if 1 in requested:
-        reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf, bundle))
-        reports.append(audit_mod.audit_corollary1(system, system.targets, args.kf, bundle))
+        reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf))
+        reports.append(audit_mod.audit_corollary1(system, system.targets, args.kf))
     if 2 in requested:
         reports.append(
-            audit_mod.audit_theorem2(
-                system, args.kf, samples=args.samples, seed=args.seed, bundle=bundle
-            )
+            audit_mod.audit_theorem2(system, args.kf, samples=args.samples, seed=args.seed)
         )
     if 3 in requested or 4 in requested:
         if args.cutset is not None:
@@ -195,12 +189,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         else:
             raise ValueError("theorems 3 and 4 require --cutset or --min-cutset")
         cut_report = audit_mod.audit_cutset(
-            system, args.kf, cutset, samples=args.samples, seed=args.seed, bundle=bundle
+            system, args.kf, cutset, samples=args.samples, seed=args.seed
         )
         # "T3.2" belongs to theorem 3
         checks = tuple(c for c in cut_report.checks if int(c.id[1]) in requested)
         reports.append(audit_mod.AuditReport(checks=checks))
-    del bundle  # freed before theorem 5 builds its own horizons
     if 5 in requested:
         horizons = _audit_horizons(args, system)
         reports.append(audit_mod.audit_asymptotics(system, system.targets, horizons))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gramian import ConsensusSystem, compute_gramian
+from .gramian import ConsensusSystem
 from .kernels import save_matrix_csv
 from .metrics import InputSequence, optimal_target_input, target_control_energy
 
@@ -84,14 +84,13 @@ def verify_optimal_input(system: ConsensusSystem, kf: int, ybar) -> Verification
     target-control energy computed directly from the same Gramian.
     """
     y = np.asarray(ybar, dtype=float).reshape(-1)
-    bundle = compute_gramian(system, kf)
-    seq = optimal_target_input(system, kf, y, bundle)
+    seq = optimal_target_input(system, kf, y)
     traj = simulate(system, np.zeros(system.n), seq)
     achieved = traj.outputs[-1]
     goal_error = float(np.linalg.norm(achieved - y)) / max(
         1.0, float(np.linalg.norm(y))
     )
-    direct = target_control_energy(system, kf, y, bundle)
+    direct = target_control_energy(system, kf, y)
     energy = float(np.sum(seq.u * seq.u))
     energy_error = abs(energy - direct) / max(1.0, direct)
     return VerificationResult(

@@ -33,7 +33,8 @@ class ConsensusSystem:
     """Ergodic consensus model with fixed source and target node sets.
 
     Attributes A (n x n), B (n x m) and C (p x n) are read-only float arrays;
-    sources and targets are ascending node tuples.
+    sources and targets are ascending node tuples. gramian(kf) keeps the
+    bundle of the last horizon asked for.
     """
 
     def __init__(self, graph: WeightedDigraph, sources, targets):
@@ -61,6 +62,15 @@ class ConsensusSystem:
             c[row, node] = 1.0
         c.setflags(write=False)
         self.C = c
+        self._bundle = None
+
+    def gramian(self, kf: int) -> GramianBundle:
+        """The Gramian bundle at horizon kf, built by compute_gramian on first use."""
+        kf = _check_horizon(kf)
+        if self._bundle is None or self._bundle.kf != kf:
+            self._bundle = None  # dropped before the build: one Gramian per system is alive
+            self._bundle = compute_gramian(self, kf)
+        return self._bundle
 
     @property
     def n(self) -> int:
@@ -156,18 +166,6 @@ def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
     return bundle
 
 
-def bundle_for(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> GramianBundle:
-    """The bundle given, else a new one; ValueError if it is for another horizon."""
-    kf = _check_horizon(kf)
-    if bundle is None:
-        return compute_gramian(system, kf)
-    if bundle.kf != kf:
-        raise ValueError(f"bundle horizon {bundle.kf} does not match kf={kf}")
-    return bundle
-
-
 def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
     """Principal Gramian block on the given nodes (ascending order), via memo."""
     ids = node_set(node_ids, bundle.W.order)
@@ -188,9 +186,7 @@ def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:
         raise ValueError("node set must be nonempty")
     rows = list(ids)
     pattern = system.A > 0.0
-    reach = np.zeros((system.n, system.m), dtype=bool)
-    for col, z in enumerate(system.sources):
-        reach[z, col] = True
+    reach = system.B > 0.0
     bound = (system.n - 1) ** 2 + 2
     for k in range(bound):
         if reach[rows].all():
@@ -232,15 +228,9 @@ class AsymptoticDecomposition:
     residual_bound: float
 
 
-def asymptotic_decomposition(
-    system: ConsensusSystem, node_ids, kf: int, bundle: GramianBundle | None = None
-) -> AsymptoticDecomposition:
-    """Decompose the Gramian block on node_ids at horizon kf.
-
-    An already computed bundle for the same horizon may be passed to avoid
-    recomputing the Gramian.
-    """
-    bundle = bundle_for(system, kf, bundle)
+def asymptotic_decomposition(system: ConsensusSystem, node_ids, kf: int) -> AsymptoticDecomposition:
+    """Decompose the Gramian block on node_ids at horizon kf."""
+    bundle = system.gramian(kf)
     kf = bundle.kf
     q = gramian_submatrix(bundle, node_ids).array
     w = left_perron(system)

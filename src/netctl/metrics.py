@@ -24,7 +24,7 @@ from .errors import (
     NodeUnreachable,
     NotControllable,
 )
-from .gramian import ConsensusSystem, GramianBundle, bundle_for, gramian_submatrix
+from .gramian import ConsensusSystem, gramian_submatrix
 from .netgraph import node_set
 
 # A projection is degenerate when its quadratic form is below this times lambda_max.
@@ -85,23 +85,19 @@ class MetricsReport:
         }
 
 
-def target_gramian(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> kernels.SymMatrix:
+def target_gramian(system: ConsensusSystem, kf: int) -> kernels.SymMatrix:
     """Gramian block on the system's target set."""
-    return gramian_submatrix(bundle_for(system, kf, bundle), system.targets)
+    return gramian_submatrix(system.gramian(kf), system.targets)
 
 
-def target_controllable(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> ControllabilityWitness:
+def target_controllable(system: ConsensusSystem, kf: int) -> ControllabilityWitness:
     """Whether the target Gramian block is invertible at this horizon."""
-    q = target_gramian(system, kf, bundle)
+    q = target_gramian(system, kf)
     return ControllabilityWitness(q.spd, float(q.values[0]), float(q.values[-1]))
 
 
-def _controllable_block(system, kf, bundle) -> kernels.SymMatrix:
-    q = target_gramian(system, kf, bundle)
+def _controllable_block(system, kf) -> kernels.SymMatrix:
+    q = target_gramian(system, kf)
     if not q.spd:
         raise NotControllable(
             f"target block singular at horizon {kf} (lambda_min={q.values[0]:.3e})"
@@ -118,12 +114,10 @@ def _goal_vector(system: ConsensusSystem, ybar) -> np.ndarray:
     return y
 
 
-def target_control_energy(
-    system: ConsensusSystem, kf: int, ybar, bundle: GramianBundle | None = None
-) -> float:
+def target_control_energy(system: ConsensusSystem, kf: int, ybar) -> float:
     """Minimum input energy that places the target outputs at ybar at time kf."""
     y = _goal_vector(system, ybar)
-    q = _controllable_block(system, kf, bundle)
+    q = _controllable_block(system, kf)
     return float(y @ kernels.solve_spd(q, y))
 
 
@@ -137,43 +131,39 @@ def _propagated_schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.
     return steps[::-1]
 
 
-def _schedule(system: ConsensusSystem, bundle: GramianBundle, v: np.ndarray) -> np.ndarray:
+def _schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
     """Input schedule whose step i is (C A^(kf-1-i) B)^T v.
 
     v is one goal (p,) or a stack (s, p), giving (kf, m) or (kf, s, m), from
     the Markov blocks compute_gramian kept or else by propagating v.
     """
+    bundle = system.gramian(kf)
     blocks = bundle.memo(("markov", system.targets))
     if blocks is None:
         return _propagated_schedule(system, bundle.kf, v)
     return (v @ blocks)[::-1]
 
 
-def optimal_target_input(
-    system: ConsensusSystem, kf: int, ybar, bundle: GramianBundle | None = None
-) -> InputSequence:
+def optimal_target_input(system: ConsensusSystem, kf: int, ybar) -> InputSequence:
     """Least-energy input schedule driving the target outputs to ybar.
 
     Step i is (C A^(kf-1-i) B)^T v with v the target-Gramian solve of ybar;
     its energy equals target_control_energy(system, kf, ybar).
     """
     y = _goal_vector(system, ybar)
-    bundle = bundle_for(system, kf, bundle)
-    v = kernels.solve_spd(_controllable_block(system, kf, bundle), y)
-    u = _schedule(system, bundle, v)
+    v = kernels.solve_spd(_controllable_block(system, kf), y)
+    u = _schedule(system, kf, v)
     return InputSequence(kf=kf, u=u, energy=float(np.sum(u * u)))
 
 
-def target_security(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> tuple[float, np.ndarray]:
+def target_security(system: ConsensusSystem, kf: int) -> tuple[float, np.ndarray]:
     """Least goal energy over unit goals, with the goal attaining it.
 
     Returns (E_min, y_min): E_min is the reciprocal of the largest target
     Gramian eigenvalue and y_min the corresponding unit eigenvector,
     sign-normalized.
     """
-    pairs = _controllable_block(system, kf, bundle).eig
+    pairs = _controllable_block(system, kf).eig
     return 1.0 / pairs.lambda_max, pairs.dominant.copy()
 
 
@@ -182,107 +172,89 @@ def _degenerate(q: kernels.SymMatrix, forms):
     return forms <= DEGENERATE_RTOL * float(q.values[-1])
 
 
-def _projection_form(system, kf, alpha, bundle) -> tuple[np.ndarray, float]:
+def _projection_form(system, kf, alpha) -> tuple[np.ndarray, float]:
     """alpha as a vector and its nondegenerate target-Gramian form alpha^T Q alpha."""
     a = _goal_vector(system, alpha)
-    q = target_gramian(system, kf, bundle)
+    q = target_gramian(system, kf)
     form = float(a @ q.array @ a)
     if _degenerate(q, form):
         raise DegenerateProjection(f"projection carries no reachable energy (form={form:.3e})")
     return a, form
 
 
-def projection_energy(
-    system: ConsensusSystem, kf: int, alpha, bundle: GramianBundle | None = None
-) -> float:
+def projection_energy(system: ConsensusSystem, kf: int, alpha) -> float:
     """Energy to move the scalar projection alpha . y by one unit."""
-    return 1.0 / _projection_form(system, kf, alpha, bundle)[1]
+    return 1.0 / _projection_form(system, kf, alpha)[1]
 
 
-def optimal_projection_input(
-    system: ConsensusSystem, kf: int, alpha, bundle: GramianBundle | None = None
-) -> InputSequence:
+def optimal_projection_input(system: ConsensusSystem, kf: int, alpha) -> InputSequence:
     """Least-energy input schedule moving the projection alpha . y to one."""
-    bundle = bundle_for(system, kf, bundle)
-    a, form = _projection_form(system, kf, alpha, bundle)
-    u = _schedule(system, bundle, a) / form
+    a, form = _projection_form(system, kf, alpha)
+    u = _schedule(system, kf, a) / form
     return InputSequence(kf=kf, u=u, energy=float(np.sum(u * u)))
 
 
-def projection_security(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> tuple[float, int]:
+def projection_security(system: ConsensusSystem, kf: int) -> tuple[float, int]:
     """Least projection energy over unit-1-norm projections.
 
     The minimum is attained at a coordinate direction: returns (F_min, j_min)
     where j_min is the first index of a largest target-Gramian diagonal entry
     and F_min its reciprocal (inf if the whole diagonal is zero).
     """
-    q = target_gramian(system, kf, bundle).array
+    q = target_gramian(system, kf).array
     diag = np.diag(q)
     j = int(np.argmax(diag))
     top = float(diag[j])
     return (1.0 / top if top > 0.0 else math.inf), j
 
 
-def node_energy(
-    system: ConsensusSystem, kf: int, node: int, bundle: GramianBundle | None = None
-) -> float:
+def node_energy(system: ConsensusSystem, kf: int, node: int) -> float:
     """Energy to move a single node's state by one unit at time kf."""
     (c,) = node_set([node], system.n)
-    val = float(bundle_for(system, kf, bundle).W.array[c, c])
+    val = float(system.gramian(kf).W.array[c, c])
     if val <= 0.0:
         raise NodeUnreachable(f"node {c} unreachable within horizon {kf}")
     return 1.0 / val
 
 
-def node_energies(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> np.ndarray:
+def node_energies(system: ConsensusSystem, kf: int) -> np.ndarray:
     """Vector of per-node energies; unreachable nodes get inf."""
-    diag = np.diag(bundle_for(system, kf, bundle).W.array)
+    diag = np.diag(system.gramian(kf).W.array)
     out = np.full(system.n, math.inf)
     ok = diag > 0.0
     out[ok] = 1.0 / diag[ok]
     return out
 
 
-def cutset_energy(
-    system: ConsensusSystem, kf: int, cutset, bundle: GramianBundle | None = None
-) -> float:
+def cutset_energy(system: ConsensusSystem, kf: int, cutset) -> float:
     """Least per-node energy over the cutset's reachable nodes."""
     ids = node_set(cutset, system.n)
     if not ids:
         raise ValueError("cutset must be nonempty")
-    diag = bundle_for(system, kf, bundle).W.array[list(ids), list(ids)]
+    diag = system.gramian(kf).W.array[list(ids), list(ids)]
     top = float(diag.max())
     if top <= 0.0:
         raise NodeUnreachable(f"no cutset node reachable within horizon {kf}")
     return 1.0 / top
 
 
-def full_target_security(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> float:
+def full_target_security(system: ConsensusSystem, kf: int) -> float:
     """Least goal energy when every node is a target: 1 / lambda_max of W.
 
     Defined whether or not the full Gramian is invertible.
     """
-    return 1.0 / float(bundle_for(system, kf, bundle).W.values[-1])
+    return 1.0 / float(system.gramian(kf).W.values[-1])
 
 
-def metrics_report(
-    system: ConsensusSystem, kf: int, bundle: GramianBundle | None = None
-) -> MetricsReport:
+def metrics_report(system: ConsensusSystem, kf: int) -> MetricsReport:
     """Assemble the standard metrics summary at one horizon."""
-    bundle = bundle_for(system, kf, bundle)
-    q = target_gramian(system, kf, bundle)
+    q = target_gramian(system, kf)
     pairs = q.eig
     lam_max = pairs.lambda_max
     e_min = 1.0 / lam_max if lam_max > 0.0 else math.inf
-    f_min, j_min = projection_security(system, kf, bundle)
+    f_min, j_min = projection_security(system, kf)
     return MetricsReport(
-        kf=bundle.kf,
+        kf=system.gramian(kf).kf,
         controllable=q.spd,
         lambda_min=pairs.lambda_min,
         lambda_max=lam_max,
@@ -290,5 +262,5 @@ def metrics_report(
         y_min=pairs.dominant.copy(),
         F_min=f_min,
         j_min=j_min,
-        node_energies=node_energies(system, kf, bundle),
+        node_energies=node_energies(system, kf),
     )

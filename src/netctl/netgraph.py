@@ -30,12 +30,23 @@ ROW_SUM_TOL = 1e-12
 Edge = tuple[int, int, float]
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; ValueError unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def node_set(ids: Iterable[int], n: int) -> tuple[int, ...]:
     """Canonicalize node ids: ints, sorted ascending, duplicates dropped.
 
-    Raises IndexOutOfRange for ids outside 0..n-1.
+    Raises ValueError for an id that is not a whole number and
+    IndexOutOfRange for ids outside 0..n-1.
     """
-    out = tuple(sorted({int(i) for i in ids}))
+    out = tuple(sorted({_whole(i, "node id") for i in ids}))
     for i in out:
         if not 0 <= i < n:
             raise IndexOutOfRange(f"node id {i} outside 0..{n - 1}")
@@ -51,14 +62,14 @@ class WeightedDigraph:
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence], positions=None):
-        n = int(n)
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
         incoming = [0.0] * n
         seen: set[tuple[int, int]] = set()
         clean: list[Edge] = []
         for e in edges:
-            u, v, w = int(e[0]), int(e[1]), float(e[2])
+            u, v, w = _whole(e[0], "edge end"), _whole(e[1], "edge end"), float(e[2])
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if (u, v) in seen:
@@ -425,6 +436,8 @@ def network_json(graph: WeightedDigraph, sources, targets) -> str:
     """
     s = node_set(sources, graph.n)
     t = node_set(targets, graph.n)
+    if not s or not t:
+        raise ValueError("sources and targets must be nonempty")
     obj = {
         "n": graph.n,
         "edges": [[u, v, w] for u, v, w in graph.edges],
@@ -438,14 +451,20 @@ def network_json(graph: WeightedDigraph, sources, targets) -> str:
 
 def save_network(path, graph: WeightedDigraph, sources, targets) -> None:
     """Write a network JSON file; see network_json for the layout."""
+    text = network_json(graph, sources, targets)  # raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(network_json(graph, sources, targets))
+        fh.write(text)
 
 
 def load_network(path) -> tuple[WeightedDigraph, tuple[int, ...], tuple[int, ...]]:
-    """Read a network JSON file; returns (graph, sources, targets)."""
+    """Read a network file as network_json writes it; returns (graph, sources, targets)."""
     with open(path) as fh:
         obj = json.load(fh)
-    n = int(obj["n"])
-    graph = WeightedDigraph(n, obj["edges"], positions=obj.get("positions"))
-    return graph, node_set(obj["sources"], n), node_set(obj["targets"], n)
+    keys = ("edges", "sources", "targets", "positions")
+    if not isinstance(obj, dict) or not all(isinstance(obj.get(k, []), list) for k in keys):
+        raise ValueError(f"{path}: edges, sources, targets and positions must be lists")
+    if not all(isinstance(e, list) and len(e) == 3 and isinstance(e[2], (int, float))
+               for e in obj["edges"]):
+        raise ValueError(f"{path}: every edge must be [from, to, weight]")
+    graph = WeightedDigraph(obj["n"], obj["edges"], positions=obj.get("positions"))
+    return graph, node_set(obj["sources"], graph.n), node_set(obj["targets"], graph.n)

@@ -334,7 +334,7 @@ def _sample_one_norm(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
     return mags * signs
 
 
-def per_sample_theorem2(system, kf: int, samples: int, seed: int, bundle) -> dict:
+def per_sample_theorem2(system, kf: int, samples: int, seed: int) -> dict:
     """T2.2 and T2.3 judged one sample at a time through the single-goal API.
 
     Draws come from the audit's per-sample streams [seed, tag, i]; T2.2 only
@@ -345,8 +345,8 @@ def per_sample_theorem2(system, kf: int, samples: int, seed: int, bundle) -> dic
         worst, ok = -math.inf, True
         for i in range(samples):
             y = _sample_sphere(seed, 22, i, system.p)
-            e_signed = target_control_energy(system, kf, y, bundle)
-            e_abs = target_control_energy(system, kf, np.abs(y), bundle)
+            e_signed = target_control_energy(system, kf, y)
+            e_abs = target_control_energy(system, kf, np.abs(y))
             excess = e_abs - e_signed * (1.0 + REL_SLACK)
             worst = max(worst, excess)
             ok = ok and excess <= 0.0
@@ -354,12 +354,12 @@ def per_sample_theorem2(system, kf: int, samples: int, seed: int, bundle) -> dic
     worst, input_min, ok = -math.inf, math.inf, True
     for i in range(samples):
         a = _sample_sphere(seed, 23, i, system.p)
-        f_signed = projection_energy(system, kf, a, bundle)
-        f_abs = projection_energy(system, kf, np.abs(a), bundle)
+        f_signed = projection_energy(system, kf, a)
+        f_abs = projection_energy(system, kf, np.abs(a))
         excess = f_abs - f_signed * (1.0 + REL_SLACK)
         worst = max(worst, excess)
         ok = ok and excess <= 0.0
-        u_proj = optimal_projection_input(system, kf, np.abs(a), bundle)
+        u_proj = optimal_projection_input(system, kf, np.abs(a))
         input_min = min(input_min, float(u_proj.u.min()))
     out["T2.3"] = (
         ok and input_min >= -INPUT_TOL,
@@ -368,14 +368,14 @@ def per_sample_theorem2(system, kf: int, samples: int, seed: int, bundle) -> dic
     return out
 
 
-def per_sample_cutset(system, kf: int, cutset, samples: int, seed: int, bundle) -> dict:
+def per_sample_cutset(system, kf: int, cutset, samples: int, seed: int) -> dict:
     """T3.2 and T4.1 judged one sample at a time through the single-goal API.
 
     A degenerate projection counts as an infinite energy. Returns
     {check id: (holds, witness)}.
     """
-    e_cut = cutset_energy(system, kf, cutset, bundle)
-    wt = target_gramian(system, kf, bundle).array
+    e_cut = cutset_energy(system, kf, cutset)
+    wt = target_gramian(system, kf).array
     worst_form = -math.inf
     for i in range(samples):
         a = _sample_one_norm(seed, 32, i, system.p)
@@ -384,7 +384,7 @@ def per_sample_cutset(system, kf: int, cutset, samples: int, seed: int, bundle) 
     for i in range(samples):
         a = _sample_one_norm(seed, 41, i, system.p)
         try:
-            f = projection_energy(system, kf, a, bundle)
+            f = projection_energy(system, kf, a)
         except DegenerateProjection:
             f = math.inf
         worst_energy = min(worst_energy, f)

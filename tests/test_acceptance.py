@@ -22,7 +22,6 @@ from netctl import (
     audit_theorem1,
     audit_theorem2,
     cli,
-    compute_gramian,
     explicit_inverse,
     gramian_submatrix,
     load_network,
@@ -52,17 +51,15 @@ def rel_close(actual, expected, rtol) -> bool:
 
 
 def test_criterion_1_worked_instance_exactness():
-    sys2 = support.two_node_system()
-
     def full_pass():
-        bundle = compute_gramian(sys2, 2)
-        block = gramian_submatrix(bundle, [0, 1])
+        sys2 = support.two_node_system()
+        block = gramian_submatrix(sys2.gramian(2), [0, 1])
         inv = explicit_inverse(block)
-        energy = target_control_energy(sys2, 2, [1.0, 1.0], bundle=bundle)
-        seq = optimal_target_input(sys2, 2, [1.0, 1.0], bundle=bundle)
-        e_min, _ = target_security(sys2, 2, bundle=bundle)
-        f_min, _ = projection_security(sys2, 2, bundle=bundle)
-        node_e = node_energies(sys2, 2, bundle=bundle)
+        energy = target_control_energy(sys2, 2, [1.0, 1.0])
+        seq = optimal_target_input(sys2, 2, [1.0, 1.0])
+        e_min, _ = target_security(sys2, 2)
+        f_min, _ = projection_security(sys2, 2)
+        node_e = node_energies(sys2, 2)
         return block.array, inv.array, energy, seq.u, e_min, f_min, node_e
 
     w, r, energy, u, e_min, f_min, node_e = full_pass()
@@ -91,17 +88,16 @@ def test_criterion_2_oracle_equivalence():
     for i in range(200):
         sysr = support.random_ergodic_system([2, i], n_low=3, n_high=6)
         kf = 1 + i % 12
-        bundle = compute_gramian(sysr, kf)
-        w = bundle.W.array
+        w = sysr.gramian(kf).W.array
         naive = support.naive_gramian(sysr.A, sysr.B, kf)
         assert rel_close(w, naive, 1e-12), f"naive mismatch at instance {i}"
         from_imp = support.gramian_from_impulses(sysr, range(sysr.n), kf)
         assert rel_close(from_imp, w, 1e-10), f"impulse mismatch at instance {i}"
-        if sysr.m * kf <= 6 and target_controllable(sysr, kf, bundle=bundle):
+        if sysr.m * kf <= 6 and target_controllable(sysr, kf):
             rng = np.random.default_rng([2, i, 99])
             stacked = support.stacked_input_map(sysr, kf)
             goal = stacked @ rng.normal(size=stacked.shape[1])
-            direct = target_control_energy(sysr, kf, goal, bundle=bundle)
+            direct = target_control_energy(sysr, kf, goal)
             oracle = support.least_squares_energy(sysr, kf, goal)
             assert rel_close(direct, oracle, 1e-8), f"energy mismatch at instance {i}"
             energy_instances += 1
@@ -171,9 +167,8 @@ def _convergence_window(system, horizons):
     """Product E_min * p * kf * sum(w_i^2) per horizon, via separate routes."""
     products = []
     for kf in horizons:
-        bundle = compute_gramian(system, kf)
-        e_min, _ = target_security(system, kf, bundle=bundle)
-        decomp = asymptotic_decomposition(system, system.targets, kf, bundle=bundle)
+        e_min, _ = target_security(system, kf)
+        decomp = asymptotic_decomposition(system, system.targets, kf)
         products.append(e_min * system.p * decomp.rank_one_coefficient)
     return products
 
@@ -246,12 +241,11 @@ def test_criterion_7_distant_node_energies(tmp_path):
                 queue.append(v)
     far = sorted(range(graph.n), key=lambda v: (-dist[v], v))[:10]
 
-    bundle = compute_gramian(ConsensusSystem(graph, sources, [far[0]]), 200)
     bad = []
     for t in far:
         system_t = ConsensusSystem(graph, sources, [t])
         cut = min_separating_cutset(graph, sources, [t])
-        e_cut = cutset_energy(system_t, 200, cut, bundle=bundle)
+        e_cut = cutset_energy(system_t, 200, cut)
         if not energies[t] >= e_cut * (1.0 - 1e-9):
             bad.append((t, energies[t], e_cut))
     ok = elapsed < 5.0 and not bad

@@ -190,9 +190,8 @@ class TestSampledChecksMatchLoops:
     @pytest.mark.parametrize("key", range(10))
     def test_theorem2(self, key, samples):
         sysr, kf = sampled_system(key)
-        bundle = compute_gramian(sysr, kf)
-        rep = audit_theorem2(sysr, kf, samples=samples, seed=key, bundle=bundle)
-        expected = support.per_sample_theorem2(sysr, kf, samples, key, bundle)
+        rep = audit_theorem2(sysr, kf, samples=samples, seed=key)
+        expected = support.per_sample_theorem2(sysr, kf, samples, key)
         assert_matches_loops(rep, expected)
 
     @pytest.mark.parametrize("rtol", [metrics.DEGENERATE_RTOL, 0.3, 1.0])
@@ -202,9 +201,8 @@ class TestSampledChecksMatchLoops:
         monkeypatch.setattr(metrics, "DEGENERATE_RTOL", rtol)
         sysr, kf = sampled_system(key)
         cut = min_separating_cutset(sysr.graph, sysr.sources, sysr.targets)
-        bundle = compute_gramian(sysr, kf)
-        rep = audit_cutset(sysr, kf, cut, samples=100, seed=key, bundle=bundle)
-        expected = support.per_sample_cutset(sysr, kf, cut, 100, key, bundle)
+        rep = audit_cutset(sysr, kf, cut, samples=100, seed=key)
+        expected = support.per_sample_cutset(sysr, kf, cut, 100, key)
         assert_matches_loops(rep, expected)
 
     def test_zero_samples_hold_with_infinite_witnesses(self, sys2, chain):

@@ -68,6 +68,50 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", ["--sources", "--targets"])
+    def test_empty_node_set_exits_2(self, tmp_path, capsys, flag):
+        """No consumer accepts a network without sources or targets, so none is written."""
+        out_path = tmp_path / "net.json"
+        code, out, err = run(
+            capsys, "gen", "--n", "5", "--radius", "0.9", flag, "", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "must be nonempty" in err
+        assert out == "" and not out_path.exists()
+
+
+def network_text(**fields) -> str:
+    """The two-node network file with some fields replaced."""
+    edges = [[0, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
+    return json.dumps({"n": 2, "edges": edges, "sources": [0], "targets": [0, 1], **fields})
+
+
+MALFORMED_NETWORKS = {
+    "two_field_edge": network_text(edges=[[0, 0], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]),
+    "four_field_edge": network_text(edges=[[0, 0, 0.5, 7], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]),
+    "null_weight": network_text(edges=[[0, 0, None], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]),
+    "fractional_edge_end": network_text(
+        edges=[[0.7, 0, 0.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5]]
+    ),
+    "edges_not_a_list": network_text(edges=5),
+    "null_sources": network_text(sources=None),
+    "fractional_source": network_text(sources=[0.7]),
+    "fractional_n": network_text(n=2.5),
+    "overflowing_n": network_text().replace('"n": 2', '"n": 1e400'),
+    "top_level_array": json.dumps([2, [], [0], [0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_NETWORKS))
+def test_malformed_network_exits_2(tmp_path, capsys, name):
+    """Each file crashed with a traceback or was truncated into a valid one."""
+    path = tmp_path / "net.json"
+    path.write_text(MALFORMED_NETWORKS[name])
+    code, out, err = run(capsys, "node-energies", "--net", str(path), "--kf", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMetrics:
     def test_goal_flow(self, tmp_path, capsys):

@@ -144,14 +144,13 @@ class TestMarkovBlocks:
         propagated = metrics._propagated_schedule
         monkeypatch.setattr(metrics, "_propagated_schedule", counted)
         goal = np.linspace(1.0, 2.0, 8)
-        bundle = compute_gramian(sysr, kf)
-        seq = optimal_target_input(sysr, kf, goal, bundle)
+        seq = optimal_target_input(sysr, kf, goal)
         assert len(calls) == 1
-        v = solve_spd(bundle.W, goal)
+        v = solve_spd(sysr.gramian(kf).W, goal)
         expected = np.array([blk.T @ v for blk in _markov_oracle(sysr, kf)[::-1]])
         # each step sums block entries times v, so roundoff scales with |v|_1
         assert np.max(np.abs(seq.u - expected)) <= 1e-13 * np.abs(v).sum()
-        optimal_target_input(sysr, kf, goal, bundle)
+        optimal_target_input(sysr, kf, goal)
         assert len(calls) == 2
 
     def test_declined_schedule_memory_stays_within_a_few_gramians(self):
@@ -160,11 +159,11 @@ class TestMarkovBlocks:
         sysr = ConsensusSystem(g, range(100), range(100))
         kf = 20
         assert kf * sysr.p * sysr.m >= sysr.n**2
-        bundle = compute_gramian(sysr, kf)
+        sysr.gramian(kf)
         goal = np.linspace(1.0, 2.0, 100)
         tracemalloc.start()
         try:
-            optimal_target_input(sysr, kf, goal, bundle)
+            optimal_target_input(sysr, kf, goal)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -303,10 +302,14 @@ class TestAsymptoticDecomposition:
         b100 = asymptotic_decomposition(chain, [0, 1, 2], 100).residual_bound
         assert b100 <= 1.05 * b50
 
-    def test_bundle_horizon_mismatch(self, sys2):
-        bundle = compute_gramian(sys2, 3)
-        with pytest.raises(ValueError):
-            asymptotic_decomposition(sys2, [0], 2, bundle=bundle)
+    def test_bundle_horizon_mismatch(self):
+        """A bundle kept for another horizon is replaced, not answered from."""
+        sysr = support.two_node_system()
+        sysr.gramian(3)
+        dec = asymptotic_decomposition(sysr, [0], 2)
+        fresh = asymptotic_decomposition(support.two_node_system(), [0], 2)
+        assert dec.kf == sysr.gramian(2).kf == 2
+        np.testing.assert_array_equal(dec.residual, fresh.residual)
 
 
 class TestConsensusSystem:

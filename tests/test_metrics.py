@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from netctl import (
     target_controllable,
     target_security,
 )
+from netctl import gramian
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +189,6 @@ class TestProjection:
             f_min, _ = projection_security(sysr, kf)
             if not math.isfinite(f_min):
                 continue
-            bundle = compute_gramian(sysr, kf)
             grid = np.linspace(-1, 1, 9)
             for a0 in grid:
                 for a1 in grid:
@@ -197,7 +198,7 @@ class TestProjection:
                     for s in (-1.0, 1.0):
                         alpha = np.array([a0, a1, s * rest])
                         try:
-                            f = projection_energy(sysr, kf, alpha, bundle)
+                            f = projection_energy(sysr, kf, alpha)
                         except DegenerateProjection:
                             continue
                         assert f >= f_min * (1 - 1e-9)
@@ -316,35 +317,55 @@ class TestReport:
 
 
 class TestBundleHorizon:
-    """A bundle answers only for its own horizon."""
+    """A system's kept bundle answers only for its own horizon."""
 
-    def test_shared_bundle_at_its_horizon(self, sys2):
-        bundle = compute_gramian(sys2, 5)
-        assert target_control_energy(sys2, 5, [1.0, 2.0], bundle) == pytest.approx(5.0)
-        seq = optimal_target_input(sys2, 5, [1.0, 2.0], bundle)
+    def test_shared_bundle_at_its_horizon(self):
+        sys2 = support.two_node_system()
+        bundle = sys2.gramian(5)
+        assert target_control_energy(sys2, 5, [1.0, 2.0]) == pytest.approx(5.0)
+        seq = optimal_target_input(sys2, 5, [1.0, 2.0])
+        assert sys2.gramian(5) is bundle
         final = simulate(sys2, np.zeros(2), seq).outputs[-1]
         np.testing.assert_allclose(final, [1.0, 2.0], atol=1e-12)
 
     CALLS = {
-        "target_control_energy": lambda s, b: target_control_energy(s, 5, [1.0, 2.0], b),
-        "optimal_target_input": lambda s, b: optimal_target_input(s, 5, [1.0, 2.0], b),
-        "target_controllable": lambda s, b: target_controllable(s, 5, b),
-        "target_security": lambda s, b: target_security(s, 5, b),
-        "projection_energy": lambda s, b: projection_energy(s, 5, [1.0, 0.0], b),
-        "optimal_projection_input": lambda s, b: optimal_projection_input(s, 5, [1.0, 0.0], b),
-        "projection_security": lambda s, b: projection_security(s, 5, b),
-        "node_energy": lambda s, b: node_energy(s, 5, 1, b),
-        "node_energies": lambda s, b: node_energies(s, 5, b),
-        "cutset_energy": lambda s, b: cutset_energy(s, 5, [0], b),
-        "full_target_security": lambda s, b: full_target_security(s, 5, b),
-        "metrics_report": lambda s, b: metrics_report(s, 5, b),
-        "audit_theorem1": lambda s, b: audit_theorem1(s, [0, 1], 5, b),
-        "audit_corollary1": lambda s, b: audit_corollary1(s, [0, 1], 5, b),
-        "audit_theorem2": lambda s, b: audit_theorem2(s, 5, samples=3, bundle=b),
-        "audit_cutset": lambda s, b: audit_cutset(s, 5, [0], samples=3, bundle=b),
+        "target_control_energy": lambda s: target_control_energy(s, 5, [1.0, 2.0]),
+        "optimal_target_input": lambda s: optimal_target_input(s, 5, [1.0, 2.0]),
+        "target_controllable": lambda s: target_controllable(s, 5),
+        "target_security": lambda s: target_security(s, 5),
+        "projection_energy": lambda s: projection_energy(s, 5, [1.0, 0.0]),
+        "optimal_projection_input": lambda s: optimal_projection_input(s, 5, [1.0, 0.0]),
+        "projection_security": lambda s: projection_security(s, 5),
+        "node_energy": lambda s: node_energy(s, 5, 1),
+        "node_energies": lambda s: node_energies(s, 5),
+        "cutset_energy": lambda s: cutset_energy(s, 5, [0]),
+        "full_target_security": lambda s: full_target_security(s, 5),
+        "metrics_report": lambda s: metrics_report(s, 5),
+        "audit_theorem1": lambda s: audit_theorem1(s, [0, 1], 5),
+        "audit_corollary1": lambda s: audit_corollary1(s, [0, 1], 5),
+        "audit_theorem2": lambda s: audit_theorem2(s, 5, samples=3),
+        "audit_cutset": lambda s: audit_cutset(s, 5, [0], samples=3),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_other_horizon_rejected(self, sys2, name):
-        with pytest.raises(ValueError, match="bundle horizon 2 does not match kf=5"):
-            self.CALLS[name](sys2, compute_gramian(sys2, 2))
+    def test_other_horizon_rejected(self, name, monkeypatch):
+        """The bundle kept at kf = 2 is replaced by one build at kf = 5.
+
+        The result equals a fresh system's bit for bit, and a second call at
+        kf = 5 builds nothing.
+        """
+        sys2 = support.two_node_system()
+        sys2.gramian(2)
+        builds = []
+        build = gramian.compute_gramian
+
+        def counting_build(system, kf):
+            builds.append(kf)
+            return build(system, kf)
+
+        monkeypatch.setattr(gramian, "compute_gramian", counting_build)
+        result = pickle.dumps(self.CALLS[name](sys2))
+        assert builds == [5]
+        assert pickle.dumps(self.CALLS[name](sys2)) == result
+        assert builds == [5]
+        assert pickle.dumps(self.CALLS[name](support.two_node_system())) == result

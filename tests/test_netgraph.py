@@ -299,6 +299,14 @@ class TestNetworkFile:
         assert list(obj) == sorted(obj)
         assert obj["n"] == 2
 
+    @pytest.mark.parametrize("sources, targets", [([], [1]), ([0], [])])
+    def test_empty_node_set_writes_nothing(self, tmp_path, sources, targets):
+        """No reader accepts a file without sources or targets."""
+        path = tmp_path / "net.json"
+        with pytest.raises(ValueError, match="must be nonempty"):
+            save_network(path, WeightedDigraph(2, TWO_NODE_EDGES), sources, targets)
+        assert not path.exists()
+
     def test_weights_roundtrip_exactly(self, tmp_path):
         g = random_geometric(7, 0.6, seed=8)
         path = tmp_path / "net.json"

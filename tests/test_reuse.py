@@ -96,10 +96,28 @@ def test_verify_optimal_input_builds_once(graph, counts):
     assert counts["builds"] == 1
 
 
-def test_theorem2_eigensolves_do_not_grow_with_samples(graph, counts):
+def test_audit_default_horizons_build_three(net, tmp_path, counts):
+    """T1-T4 at kf, and T5 at kf (no rebuild), 2 kf and 4 kf."""
+    code = run(["audit", "--net", net, "--kf", KF, "--min-cutset", "--samples", 10,
+                "--out", tmp_path / "a.json"])
+    assert code == 0
+    assert counts["builds"] == 3
+
+
+def test_api_audits_and_verify_build_once(graph, counts):
     system = netctl.ConsensusSystem(graph, [0], TARGETS)
+    netctl.audit_theorem1(system, TARGETS, KF)
+    netctl.audit_corollary1(system, TARGETS, KF)
+    netctl.audit_theorem2(system, KF, samples=10)
+    assert netctl.verify_optimal_input(system, KF, [1.0, 2.0]).goal_error < 1e-9
+    assert counts["builds"] == 1
+
+
+def test_theorem2_eigensolves_do_not_grow_with_samples(graph, counts):
     solves = []
     for samples in (10, 100):
+        # a fresh system, so that no eigensolve is kept from the last count
+        system = netctl.ConsensusSystem(graph, [0], TARGETS)
         counts.clear()
         report = netctl.audit_theorem2(system, KF, samples=samples)
         assert not report.violations()
