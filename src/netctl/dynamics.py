@@ -42,6 +42,20 @@ def _as_input_array(system: ConsensusSystem, inputs) -> np.ndarray:
     return u
 
 
+def _run(system: ConsensusSystem, x: np.ndarray, u: np.ndarray, states=None) -> np.ndarray:
+    """Step x[k+1] = A x[k] + B u[k] over the rows of u; return x[kf].
+
+    When states, a (kf+1, n) array, is given it receives x[0..kf] as rows.
+    """
+    if states is not None:
+        states[0] = x
+    for k in range(u.shape[0]):
+        x = system.A @ x + system.B @ u[k]
+        if states is not None:
+            states[k + 1] = x
+    return x
+
+
 def simulate(system: ConsensusSystem, x0, inputs) -> Trajectory:
     """Run x[k+1] = A x[k] + B u[k] from x0 under the given input schedule.
 
@@ -54,12 +68,8 @@ def simulate(system: ConsensusSystem, x0, inputs) -> Trajectory:
             f"initial state of length {x.shape[0]} for n={system.n}"
         )
     u = _as_input_array(system, inputs)
-    kf = u.shape[0]
-    states = np.empty((kf + 1, system.n))
-    states[0] = x
-    for k in range(kf):
-        x = system.A @ x + system.B @ u[k]
-        states[k + 1] = x
+    states = np.empty((u.shape[0] + 1, system.n))
+    _run(system, x, u, states)
     outputs = states @ system.C.T
     states.setflags(write=False)
     outputs.setflags(write=False)
@@ -81,12 +91,14 @@ def verify_optimal_input(system: ConsensusSystem, kf: int, ybar) -> Verification
 
     goal_error is the relative gap between the simulated target outputs at kf
     and ybar; energy_error compares the schedule's energy with the
-    target-control energy computed directly from the same Gramian.
+    target-control energy computed directly from the same Gramian. Only the
+    current state is kept while stepping; C selects the targets, so their
+    entries of the final state are the outputs at kf.
     """
     y = np.asarray(ybar, dtype=float).reshape(-1)
     seq = optimal_target_input(system, kf, y)
-    traj = simulate(system, np.zeros(system.n), seq)
-    achieved = traj.outputs[-1]
+    achieved = _run(system, np.zeros(system.n), seq.u)[list(system.targets)]
+    achieved.setflags(write=False)
     goal_error = float(np.linalg.norm(achieved - y)) / max(
         1.0, float(np.linalg.norm(y))
     )

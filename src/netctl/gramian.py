@@ -8,7 +8,9 @@ horizon Gramian is the sum over k < k_f of (A^k B)(A^k B)^T.
 compute_gramian makes one pass over the horizon. It stacks PANEL_STEPS
 consecutive X_k = A^k B into a panel (fewer when that would pass n columns,
 so a panel is never larger than W) and adds the panel's product with its
-own transpose, one BLAS-3 call per panel. Blocked summation of kf terms in
+own transpose to W's lower triangle in place, in GRAM_BLOCK-square blocks,
+so that no temporary is larger than a block; the upper triangle is mirrored
+once at the end. Blocked summation of kf terms in
 panels of b bounds the rounding error by about (b + kf/b) u against kf u for
 adding one term at a time, which b = 64 keeps small up to kf of a few
 thousand; much wider panels lose digits again. The same panels carry the
@@ -27,6 +29,8 @@ from .netgraph import WeightedDigraph, ergodicity, node_set
 
 # Horizon steps per panel of compute_gramian: one product P P^T per panel.
 PANEL_STEPS = 64
+# Side of the square blocks of W that compute_gramian updates in place.
+GRAM_BLOCK = 64
 
 
 class ConsensusSystem:
@@ -136,10 +140,12 @@ def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
     """Accumulate the horizon-kf controllability Gramian in panels.
 
     Propagates X_k = A^k B one step at a time into a panel of up to
-    PANEL_STEPS steps, and of at most n columns, and adds each panel P as one
-    product P P^T, panels in horizon order. When the bundle keeps arrays of
-    kf * p * m entries, the target rows of the panels also give the Markov
-    blocks C A^k B, kept under ("markov", targets) as one (kf, p, m) array.
+    PANEL_STEPS steps, and of at most n columns, and adds each panel P's
+    product P P^T to the lower triangle of W in GRAM_BLOCK-square blocks,
+    panels in horizon order; the upper triangle is mirrored once at the end.
+    When the bundle keeps arrays of kf * p * m entries, the target rows of
+    the panels also give the Markov blocks C A^k B, kept under
+    ("markov", targets) as one (kf, p, m) array.
     """
     kf = _check_horizon(kf)
     n, m, p = system.n, system.m, system.p
@@ -156,14 +162,33 @@ def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
         for j in range(steps):
             panel[j] = x
             x = x @ at
-        flat = panel[:steps].reshape(steps * m, n)
-        w += flat.T @ flat
+        _add_lower_gram(w, panel[:steps].reshape(steps * m, n))
         if markov is not None:
             markov[start : start + steps] = panel[:steps, :, rows].transpose(0, 2, 1)
-    bundle = GramianBundle(kf=kf, W=SymMatrix(w))
+    del panel  # the mirror and the symmetry check need only block-sized buffers
+    b = GRAM_BLOCK
+    for lo in range(0, n, b):
+        for top in range(lo + b, n, b):
+            w[lo : lo + b, top : top + b] = w[top : top + b, lo : lo + b].T
+    bundle = GramianBundle(kf=kf, W=SymMatrix._adopt(w))
     if markov is not None:
         bundle.memo(("markov", system.targets), lambda: markov)
     return bundle
+
+
+def _add_lower_gram(w: np.ndarray, flat: np.ndarray) -> None:
+    """Add flat^T flat to the GRAM_BLOCK-square blocks of w on and below its diagonal.
+
+    A diagonal block is one product of a contiguous copy of a column block
+    of flat with its own transpose (a BLAS syrk), every block below it one
+    product with that copy, so no temporary is larger than one block.
+    """
+    b = GRAM_BLOCK
+    for lo in range(0, w.shape[0], b):
+        fc = np.ascontiguousarray(flat[:, lo : lo + b])
+        w[lo : lo + b, lo : lo + b] += fc.T @ fc
+        for top in range(lo + b, w.shape[0], b):
+            w[top : top + b, lo : lo + b] += flat[:, top : top + b].T @ fc
 
 
 def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
@@ -202,7 +227,8 @@ def left_perron(system: ConsensusSystem) -> np.ndarray:
     sum(w) = 1. For an ergodic A the null space of I - A^T is one-dimensional
     and spanned by a positive vector, so the system is nonsingular.
     """
-    lhs = np.eye(system.n) - system.A.T
+    lhs = -system.A.T
+    lhs.flat[:: system.n + 1] += 1.0  # I - A^T without an identity matrix
     lhs[-1] = 1.0
     rhs = np.zeros(system.n)
     rhs[-1] = 1.0

@@ -38,7 +38,17 @@ class SymMatrix:
     __slots__ = ("_a", "_values", "_eig", "_cho")
 
     def __init__(self, data):
-        a = np.array(data, dtype=float)
+        self._own(np.array(data, dtype=float))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SymMatrix":
+        """A SymMatrix that takes over the float64 array a (no copy); a is frozen."""
+        m = cls.__new__(cls)
+        m._own(a)
+        return m
+
+    def _own(self, a: np.ndarray) -> None:
+        """Check and symmetrize a in place, then keep it read-only."""
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         scale = max(1.0, float(-a.min()), float(a.max())) if a.size else 1.0
@@ -93,7 +103,7 @@ class SymMatrix:
     def submatrix(self, ids) -> "SymMatrix":
         """Principal submatrix on the given row/column indices (in order)."""
         idx = np.asarray(ids, dtype=int)
-        return SymMatrix(self._a[np.ix_(idx, idx)])
+        return SymMatrix._adopt(self._a[np.ix_(idx, idx)])
 
     def __repr__(self):
         return f"SymMatrix(order={self.order})"
@@ -102,18 +112,21 @@ class SymMatrix:
 def _symmetrize_in_place(a: np.ndarray) -> float:
     """Set a to 0.5 * (a + a.T) in place; return max |a - a.T| before.
 
-    Block by block, with no n x n temporary; floating-point addition commutes,
-    so the result is bit-identical to 0.5 * (a + a.T).
+    Block by block through one block-sized buffer; floating-point addition
+    commutes, so the result is bit-identical to 0.5 * (a + a.T).
     """
     block = 128
     skews = [0.0]
+    scratch = np.empty(min(block, a.shape[0]) ** 2)
     for i in range(0, a.shape[0], block):
         for j in range(i, a.shape[0], block):
             upper, lower = a[i : i + block, j : j + block], a[j : j + block, i : i + block]
-            skews.append(np.max(np.abs(upper - lower.T)))
-            mean = 0.5 * (upper + lower.T)
-            upper[...] = mean
-            lower[...] = mean.T
+            buf = scratch[: upper.size].reshape(upper.shape)
+            np.abs(np.subtract(upper, lower.T, out=buf), out=buf)
+            skews.append(np.max(buf))
+            np.multiply(np.add(upper, lower.T, out=buf), 0.5, out=buf)
+            upper[...] = buf
+            lower[...] = buf.T
     return float(np.max(skews))
 
 
@@ -237,7 +250,7 @@ def explicit_inverse(m) -> SymMatrix:
     """Dense inverse of a symmetric positive definite matrix, symmetrized."""
     s = _as_sym(m)
     inv = _cholesky_solve(s.cholesky, np.eye(s.order))
-    return SymMatrix(0.5 * (inv + inv.T))
+    return SymMatrix._adopt(0.5 * (inv + inv.T))
 
 
 def spanning_bottleneck(w) -> float:

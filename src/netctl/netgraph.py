@@ -23,7 +23,6 @@ from .errors import (
     IndexOutOfRange,
     RowSumError,
 )
-from .kernels import spanning_bottleneck
 
 ROW_SUM_TOL = 1e-12
 
@@ -65,7 +64,10 @@ class WeightedDigraph:
         n = _whole(n, "n")
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
-        incoming = [0.0] * n
+        # per node with an edge, so that n alone allocates nothing: a node
+        # without one fails the row-sum check, and the scan below reaches
+        # one within the first len(edges) + 1 nodes
+        incoming: dict[int, float] = {}
         seen: set[tuple[int, int]] = set()
         clean: list[Edge] = []
         for e in edges:
@@ -78,10 +80,11 @@ class WeightedDigraph:
                 raise ValueError(f"edge ({u}, {v}) has non-positive weight {w!r}")
             seen.add((u, v))
             clean.append((u, v, w))
-            incoming[v] += w
+            incoming[v] = incoming.get(v, 0.0) + w
         for j in range(n):
-            if abs(incoming[j] - 1.0) > ROW_SUM_TOL:
-                raise RowSumError(j, incoming[j])
+            total = incoming.get(j, 0.0)
+            if abs(total - 1.0) > ROW_SUM_TOL:
+                raise RowSumError(j, total)
         clean.sort(key=lambda e: (e[0], e[1]))
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(clean)
@@ -388,6 +391,62 @@ def min_separating_cutset(graph, sources, targets) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _radius_pairs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of points at squared distance at most radius**2.
+
+    Points are bucketed into square cells of side above radius, so every such
+    pair lies in one cell or two adjacent ones; each point is paired with the
+    later points of its own cell and all points of four neighbouring cells.
+    The work is linear in the points and the candidate pairs, whatever the
+    number of empty cells.
+    """
+    n = len(pts)
+    # per axis, so that the side 1/cells exceeds radius; at most 2^20, so
+    # that cell keys stay far inside int64 however small the radius
+    cells = max(1, int(min((1.0 - 1e-9) / radius, 2.0**20)))
+    cx, cy = np.minimum((pts * cells).astype(np.int64), cells - 1).T
+    order = np.argsort(cx * cells + cy, kind="stable")
+    cx, cy = cx[order], cy[order]
+    keys = cx * cells + cy
+    first, rest = [], []
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        nx, ny = cx + dx, cy + dy
+        key = nx * cells + ny
+        lo = np.searchsorted(keys, key, "left")
+        hi = np.searchsorted(keys, key, "right")
+        if dx == dy == 0:
+            lo = np.arange(1, n + 1)  # the later points of the same cell
+        hi = np.where((nx < cells) & (0 <= ny) & (ny < cells), hi, lo)
+        count = np.maximum(hi - lo, 0)
+        a = np.repeat(np.arange(n), count)
+        b = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        first.append(order[a])
+        rest.append(order[b])
+    i, j = np.concatenate(first), np.concatenate(rest)
+    near = (pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2 <= radius * radius
+    i, j = i[near], j[near]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the undirected graph on n nodes with edges (i[k], j[k]) is connected.
+
+    Every node takes the smallest label among its neighbours' and its
+    label's label until nothing changes; the graph is connected iff all
+    labels are then 0.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return not label.any()
+        label = new
+
+
 def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
     """Random geometric consensus graph on the unit square.
 
@@ -397,7 +456,8 @@ def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
     self-loop). Placements are redrawn from the same seeded stream until the
     underlying undirected graph is connected; after 1000 failures the call
     raises ConnectivityFailure. Identical (n, radius, seed) always yields a
-    bit-identical graph.
+    bit-identical graph. Near pairs come from a grid of cells, so memory and
+    time grow with n and the number of edges, not n^2.
     """
     n = int(n)
     if n < 2:
@@ -408,23 +468,26 @@ def random_geometric(n: int, radius: float, seed: int) -> WeightedDigraph:
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        if spanning_bottleneck(d2) > radius * radius:
+        i, j = _radius_pairs(pts, radius)
+        if not _connected(n, i, j):
             continue
-        adj = d2 <= radius * radius
-        np.fill_diagonal(adj, False)
-        edges: list[Edge] = []
-        for j in range(n):
-            neighbors = np.flatnonzero(adj[:, j])
-            w = 1.0 / (len(neighbors) + 1)
-            edges.append((j, j, w))
-            for i in neighbors:
-                edges.append((int(i), j, w))
+        weight = 1.0 / (np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1)
+        nodes = np.arange(n)
+        tail = np.concatenate([nodes, i, j])
+        head = np.concatenate([nodes, j, i])
+        by_edge = np.lexsort((head, tail))
+        tail, head = tail[by_edge], head[by_edge]
+        edges = list(zip(tail.tolist(), head.tolist(), weight[head].tolist()))
         return WeightedDigraph(n, edges, positions=pts)
     raise ConnectivityFailure(
         f"no connected placement in 1000 attempts (n={n}, radius={radius}, seed={seed})"
     )
+
+
+def _json_array(items, indent: str) -> str:
+    """A JSON array of encoded items as json.dumps(indent=1) lays it out at this indent."""
+    inner = "\n" + indent + " "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 def network_json(graph: WeightedDigraph, sources, targets) -> str:
@@ -432,21 +495,27 @@ def network_json(graph: WeightedDigraph, sources, targets) -> str:
 
     Required keys: n, edges, sources, targets. A positions key is added when
     the graph carries planar coordinates. Weights are floats that round-trip
-    exactly through JSON.
+    exactly through JSON. The text is that of json.dumps(obj, sort_keys=True,
+    indent=1) plus a newline, written directly with numbers as repr gives
+    them.
     """
     s = node_set(sources, graph.n)
     t = node_set(targets, graph.n)
     if not s or not t:
         raise ValueError("sources and targets must be nonempty")
-    obj = {
-        "n": graph.n,
-        "edges": [[u, v, w] for u, v, w in graph.edges],
-        "sources": list(s),
-        "targets": list(t),
+    fields = {
+        "edges": _json_array(["[\n   %r,\n   %r,\n   %r\n  ]" % e for e in graph.edges], " "),
+        "n": repr(graph.n),
+        "sources": _json_array(map(repr, s), " "),
+        "targets": _json_array(map(repr, t), " "),
     }
     if graph.positions is not None:
-        obj["positions"] = [[float(x), float(y)] for x, y in graph.positions]
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        # json spells non-finite floats NaN and Infinity, repr nan and inf
+        num = repr if np.isfinite(graph.positions).all() else json.dumps
+        fields["positions"] = _json_array(
+            ["[\n   %s,\n   %s\n  ]" % (num(x), num(y)) for x, y in graph.positions.tolist()], " "
+        )
+    return "{\n " + ",\n ".join(f'"{k}": {fields[k]}' for k in sorted(fields)) + "\n}\n"
 
 
 def save_network(path, graph: WeightedDigraph, sources, targets) -> None:

@@ -8,7 +8,9 @@ checks one sample at a time) so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -19,8 +21,10 @@ from netctl import (
     DegenerateProjection,
     WeightedDigraph,
     cutset_energy,
+    node_set,
     optimal_projection_input,
     projection_energy,
+    spanning_bottleneck,
     target_control_energy,
     target_gramian,
 )
@@ -308,6 +312,43 @@ def geometric_draws(n: int, radius: float, seed: int) -> tuple[WeightedDigraph, 
             edges.extend((int(i), j, w) for i in neighbors)
         return WeightedDigraph(n, edges, positions=pts), attempt
     raise AssertionError("no connected placement in 1000 attempts")
+
+
+def boundary_radius(n: int, seed: int) -> float:
+    """The first placement's spanning-tree bottleneck distance as a radius.
+
+    The placement is connected exactly at this radius, whose one longest
+    tree edge lies on the boundary: its squared length equals radius**2.
+    """
+    pts = np.random.default_rng(seed).random((n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = spanning_bottleneck(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    radius = math.sqrt(d2)
+    assert radius * radius == d2, "pick a seed whose bottleneck squares back exactly"
+    return radius
+
+
+def json_dumps_network(graph: WeightedDigraph, sources, targets) -> str:
+    """The network file text by json.dumps, which network_json must equal byte for byte."""
+    obj = {
+        "n": graph.n,
+        "edges": [[u, v, w] for u, v, w in graph.edges],
+        "sources": list(node_set(sources, graph.n)),
+        "targets": list(node_set(targets, graph.n)),
+    }
+    if graph.positions is not None:
+        obj["positions"] = [[float(x), float(y)] for x, y in graph.positions]
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_reach_horizon(a: np.ndarray, sources, block) -> int:

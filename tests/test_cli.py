@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, file formats, exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -111,6 +112,34 @@ def test_malformed_network_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_node_count_alone_sets_no_memory(tmp_path):
+    """A 74-byte file claiming 10^9 nodes exits 2 without allocating for them.
+
+    The child caps its address space at 1 GiB, so code that sizes an array
+    by n fails there instead of taking the host's memory.
+    """
+    path = tmp_path / "net.json"
+    path.write_text('{"n": 1000000000, "edges": [[0, 0, 1.0]], "sources": [0], "targets": [0]}')
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from netctl import cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"status = cli.main(['node-energies', '--net', {str(path)!r}, '--kf', '2'])\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(status, grown)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # BLAS thread buffers stay small
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, grown_kb = map(int, proc.stdout.split())
+    assert status == 2
+    assert proc.stderr == "error: incoming weights of node 1 sum to 0.0, expected 1.0\n"
+    assert grown_kb < 20 * 1024
 
 
 class TestMetrics:

@@ -8,8 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 import support
 from netctl import (
+    ConsensusSystem,
     DimensionMismatch,
     optimal_target_input,
+    random_geometric,
     simulate,
     target_control_energy,
     target_controllable,
@@ -128,3 +130,25 @@ class TestVerifyOptimalInput:
             alt = flat + projector @ rng.standard_normal(g.shape[1])
             np.testing.assert_allclose(g @ alt, goal, atol=1e-9)
             assert float(alt @ alt) >= direct * (1 - 1e-9)
+
+    def test_achieved_is_the_simulated_output(self):
+        """The final state's target entries are the bits of simulate's last output row."""
+        sysr = ConsensusSystem(random_geometric(100, 0.15, 7), [0, 5], [40, 60, 99])
+        goal = [1.0, -2.0, 0.5]
+        traj = simulate(sysr, np.zeros(sysr.n), optimal_target_input(sysr, 150, goal))
+        assert np.array_equal(verify_optimal_input(sysr, 150, goal).achieved, traj.outputs[-1])
+
+    def test_memory_does_not_grow_with_states(self):
+        """From kf = 50 to 800 the peak grows by the schedule, not by 750 states.
+
+        optimal_target_input makes the (kf, m) schedule and its square, so the
+        peak may grow by two schedules; beyond that by less than one state.
+        """
+        g = random_geometric(200, 0.15, 7)
+        peaks = {}
+        for kf in (50, 800):
+            sysr = ConsensusSystem(g, [0], [5, 9])
+            sysr.gramian(kf)
+            peaks[kf] = support.traced_peak(verify_optimal_input, sysr, kf, [1.0, -1.0])
+        schedules = 2 * (800 - 50) * sysr.m
+        assert peaks[800] - peaks[50] < (schedules + sysr.n) * 8

@@ -105,6 +105,21 @@ class TestComputeGramian:
         assert peak < 10 * sysr.n**2 * 8
 
 
+    def test_build_accumulates_in_place(self):
+        """n = 400: W, one panel and one block product; no n x n product or copy of W."""
+        sysr = ConsensusSystem(random_geometric(400, 0.1, 7), [0], [1])
+        assert support.traced_peak(compute_gramian, sysr, 400) < 1.3 * sysr.n**2 * 8
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    def test_blocks_are_the_whole_product(self, n):
+        """Around one block edge and over several blocks W is the symmetric panel sum."""
+        sysr = support.random_ergodic_system([43, n], n, n, num_sources=2)
+        w = compute_gramian(sysr, 70).W.array
+        assert np.array_equal(w, w.T)
+        oracle = support.naive_gramian(sysr.A, sysr.B, 70)
+        assert np.max(np.abs(w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def _not_kept():
     raise AssertionError("the build did not keep the Markov blocks")
 

@@ -1,6 +1,7 @@
 """Graph layer tests: validation, ergodicity, cutsets, random generator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestBuildGraph:
     def test_two_node_matrix(self):
         g = WeightedDigraph(2, TWO_NODE_EDGES)
         np.testing.assert_allclose(g.stochastic_matrix(), [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_node_count_beyond_edges(self):
+        """More nodes than edges: the smallest node without a full row sum is named."""
+        with pytest.raises(RowSumError) as err:
+            WeightedDigraph(10**7, [(0, 0, 1.0)])
+        assert (err.value.node, err.value.total) == (1, 0.0)
+        with pytest.raises(RowSumError) as err:
+            WeightedDigraph(10**7, [(1, 1, 1.0), (1, 0, 0.5)])
+        assert (err.value.node, err.value.total) == (0, 0.5)
 
     def test_row_sum_violation(self):
         with pytest.raises(RowSumError) as info:
@@ -271,13 +281,34 @@ class TestRandomGeometric:
         with pytest.raises(ValueError):
             random_geometric(1, 0.5, seed=0)
 
-    @pytest.mark.parametrize("n, radius, seed, draws", [(100, 0.15, 7, 7), (50, 0.2, 0, 2)])
+    @pytest.mark.parametrize(
+        "n, radius, seed, draws",
+        [
+            (100, 0.15, 7, 7),
+            (50, 0.2, 0, 2),
+            (30, math.sqrt(2.0), 1, 1),  # one grid cell, every pair joined
+            (60, support.boundary_radius(60, 0), 0, 1),  # the longest tree edge on the radius
+            (20, 1e-4, 0, None),  # 10^8 cells, no connected placement
+            (5, 1e-300, 0, None),  # the cell count is capped
+        ],
+    )
     def test_matches_components_oracle(self, n, radius, seed, draws):
         """Rejected placements are the ones scipy's components call disconnected."""
+        if draws is None:
+            with pytest.raises(AssertionError, match="no connected placement"):
+                support.geometric_draws(n, radius, seed)
+            with pytest.raises(ConnectivityFailure):
+                random_geometric(n, radius, seed)
+            return
         expected, drawn = support.geometric_draws(n, radius, seed)
         assert drawn == draws
         got = network_json(random_geometric(n, radius, seed), [0], [1])
         assert got == network_json(expected, [0], [1])
+
+    def test_memory_follows_the_edges(self):
+        """No n x n distance or difference array: n = 3000 stays far below n^2 floats."""
+        n = 3000
+        assert support.traced_peak(random_geometric, n, 0.03, 2) < 0.5 * n * n * 8
 
 
 class TestNetworkFile:
@@ -306,6 +337,30 @@ class TestNetworkFile:
         with pytest.raises(ValueError, match="must be nonempty"):
             save_network(path, WeightedDigraph(2, TWO_NODE_EDGES), sources, targets)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "n, radius, seed, sources, targets",
+        [
+            (500, 0.1, 7, [0], [1]),
+            (1000, 0.08, 7, [0], [1]),
+            (100, 0.15, 7, [0], [1]),
+            (50, 0.2, 0, [0], [1]),
+            (200, 0.15, 7, [0], [1]),
+            (12, 0.5, 3, [0], [1]),
+            (50, 0.25, 7, [0], [40, 45]),  # the README network
+            (200, 0.15, 7, [3, 0, 17], [199, 5, 42, 5]),
+        ],
+    )
+    def test_text_matches_json_dumps(self, n, radius, seed, sources, targets):
+        g = random_geometric(n, radius, seed)
+        assert network_json(g, sources, targets) == support.json_dumps_network(g, sources, targets)
+
+    def test_text_matches_json_dumps_without_or_with_odd_positions(self):
+        plain = WeightedDigraph(3, CHAIN_EDGES)
+        odd_positions = [[math.inf, 0.1], [-math.inf, 1e-300], [math.nan, 1.0]]
+        odd = WeightedDigraph(3, CHAIN_EDGES, positions=odd_positions)
+        for g in (plain, odd):
+            assert network_json(g, [0, 2], [1, 2]) == support.json_dumps_network(g, [0, 2], [1, 2])
 
     def test_weights_roundtrip_exactly(self, tmp_path):
         g = random_geometric(7, 0.6, seed=8)
