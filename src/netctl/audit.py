@@ -250,6 +250,7 @@ def audit_theorem2(
     Raises NotControllable when the target block is singular at kf.
     """
     kstar = min_positive_horizon(system, system.targets)
+    system.gramian(kf)  # with W, which T2.4 reads: the parts alone would mean a second build
     e_min, y_min = metrics.target_security(system, kf)  # raises NotControllable
     if kf < kstar:
         return AuditReport(checks=tuple(

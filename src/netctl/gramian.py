@@ -13,8 +13,11 @@ so that no temporary is larger than a block; the upper triangle is mirrored
 once at the end. Blocked summation of kf terms in
 panels of b bounds the rounding error by about (b + kf/b) u against kf u for
 adding one term at a time, which b = 64 keeps small up to kf of a few
-thousand; much wider panels lose digits again. The same panels carry the
-target rows C A^k B, the Markov blocks of the optimal input schedules.
+thousand; much wider panels lose digits again. The same pass yields what
+the target metrics read: W's diagonal (from the diagonal blocks' products),
+the target block (the same sums over the panels' target columns) and the
+target rows C A^k B, the Markov blocks of the optimal input schedules. W
+itself is formed only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -68,12 +71,19 @@ class ConsensusSystem:
         self.C = c
         self._bundle = None
 
-    def gramian(self, kf: int) -> GramianBundle:
-        """The Gramian bundle at horizon kf, built by compute_gramian on first use."""
+    def gramian(self, kf: int, with_w: bool = True) -> GramianBundle:
+        """The Gramian bundle at horizon kf, built by compute_gramian on first use.
+
+        with_w=False asks only for diag W, the target block and the Markov
+        blocks: the kept bundle at kf serves it with or without W, and a
+        build for it forms no W. A kept bundle without W that is asked for
+        W is replaced by one full build.
+        """
         kf = _check_horizon(kf)
-        if self._bundle is None or self._bundle.kf != kf:
-            self._bundle = None  # dropped before the build: one Gramian per system is alive
-            self._bundle = compute_gramian(self, kf)
+        kept = self._bundle
+        if kept is None or kept.kf != kf or (with_w and kept.W is None):
+            kept = self._bundle = None  # dropped before the build: one Gramian per system is alive
+            self._bundle = compute_gramian(self, kf, with_w=with_w)
         return self._bundle
 
     @property
@@ -97,7 +107,12 @@ class ConsensusSystem:
 
 @dataclass(frozen=True)
 class GramianBundle:
-    """A Gramian with its horizon, and what metrics and audits read off it.
+    """One pass over a horizon: the parts of the Gramian that metrics and audits read.
+
+    diag is W's diagonal (read-only), target the principal block on the
+    target nodes `targets`, and W the whole Gramian, or None when the build
+    was not asked for it; when every node is a target, target is W. The
+    bundle holds arrays only, so dropping it frees them at once.
 
     Principal blocks (with their eigenpairs and factors) and block inverses
     are kept on first use, and the target Markov blocks from the Gramian's
@@ -107,7 +122,10 @@ class GramianBundle:
     """
 
     kf: int
-    W: SymMatrix
+    W: SymMatrix | None
+    diag: np.ndarray
+    targets: tuple
+    target: SymMatrix
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, make=None, *args):
@@ -119,7 +137,7 @@ class GramianBundle:
             return self._memo.get(key)
         value = make(*args)
         array = value.array if isinstance(value, SymMatrix) else value
-        if _kept(array.size, self.W.order):
+        if _kept(array.size, len(self.diag)):
             self._memo[key] = value
         return value
 
@@ -136,25 +154,32 @@ def _check_horizon(kf) -> int:
     return kf
 
 
-def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
-    """Accumulate the horizon-kf controllability Gramian in panels.
+def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> GramianBundle:
+    """Accumulate the horizon-kf controllability Gramian's parts in panels.
 
     Propagates X_k = A^k B one step at a time into a panel of up to
-    PANEL_STEPS steps, and of at most n columns, and adds each panel P's
+    PANEL_STEPS steps, and of at most n columns. Each panel P adds its
     product P P^T to the lower triangle of W in GRAM_BLOCK-square blocks,
-    panels in horizon order; the upper triangle is mirrored once at the end.
-    When the bundle keeps arrays of kf * p * m entries, the target rows of
-    the panels also give the Markov blocks C A^k B, kept under
-    ("markov", targets) as one (kf, p, m) array.
+    panels in horizon order, and the diagonals of the diagonal blocks'
+    products to diag W; the same sums over the panel's target columns give
+    the target block. The upper triangles are mirrored once at the end.
+    With with_w=False the blocks off W's diagonal are never formed, nor is
+    W, unless every node is a target (then the target block is W). When the
+    bundle keeps arrays of kf * p * m entries, the target rows of the panels
+    also give the Markov blocks C A^k B, kept under ("markov", targets) as
+    one (kf, p, m) array.
     """
     kf = _check_horizon(kf)
     n, m, p = system.n, system.m, system.p
     rows = list(system.targets)
+    every = p == n  # the target block is W itself
     markov = np.empty((kf, p, m)) if _kept(kf * p * m, n) else None
     width = min(PANEL_STEPS, kf, n // m)
     # panel[j] holds X_k^T, so each step is one row-major product
     panel = np.empty((width, m, n))
-    w = np.zeros((n, n))
+    diag = np.zeros(n)
+    w = np.zeros((n, n)) if with_w or every else None
+    wt = None if every else np.zeros((p, p))
     x = system.B.T.copy()
     at = system.A.T
     for start in range(0, kf, width):
@@ -162,40 +187,69 @@ def compute_gramian(system: ConsensusSystem, kf: int) -> GramianBundle:
         for j in range(steps):
             panel[j] = x
             x = x @ at
-        _add_lower_gram(w, panel[:steps].reshape(steps * m, n))
+        flat = panel[:steps].reshape(steps * m, n)
+        _add_lower_gram(w, flat, diag)
+        if wt is not None:
+            _add_lower_gram(wt, flat[:, rows])
         if markov is not None:
             markov[start : start + steps] = panel[:steps, :, rows].transpose(0, 2, 1)
-    del panel  # the mirror and the symmetry check need only block-sized buffers
-    b = GRAM_BLOCK
-    for lo in range(0, n, b):
-        for top in range(lo + b, n, b):
-            w[lo : lo + b, top : top + b] = w[top : top + b, lo : lo + b].T
-    bundle = GramianBundle(kf=kf, W=SymMatrix._adopt(w))
+    del panel, flat  # the mirror and the symmetry check need only block-sized buffers
+    whole = None if w is None else _mirrored(w)
+    diag.setflags(write=False)
+    bundle = GramianBundle(
+        kf=kf, W=whole, diag=diag, targets=system.targets,
+        target=whole if every else _mirrored(wt),
+    )
     if markov is not None:
         bundle.memo(("markov", system.targets), lambda: markov)
     return bundle
 
 
-def _add_lower_gram(w: np.ndarray, flat: np.ndarray) -> None:
+def _add_lower_gram(w, flat: np.ndarray, diag=None) -> None:
     """Add flat^T flat to the GRAM_BLOCK-square blocks of w on and below its diagonal.
 
     A diagonal block is one product of a contiguous copy of a column block
     of flat with its own transpose (a BLAS syrk), every block below it one
-    product with that copy, so no temporary is larger than one block.
+    product with that copy, so no temporary is larger than one block. When
+    given, diag receives the diagonals of the diagonal blocks' products, the
+    same sums that reach w's diagonal; w may then be None.
     """
     b = GRAM_BLOCK
-    for lo in range(0, w.shape[0], b):
+    for lo in range(0, flat.shape[1], b):
         fc = np.ascontiguousarray(flat[:, lo : lo + b])
-        w[lo : lo + b, lo : lo + b] += fc.T @ fc
+        square = fc.T @ fc
+        if diag is not None:
+            diag[lo : lo + b] += square.diagonal()
+        if w is not None:
+            w[lo : lo + b, lo : lo + b] += square
+            del square  # one block product alive at a time
+            for top in range(lo + b, w.shape[0], b):
+                w[top : top + b, lo : lo + b] += flat[:, top : top + b].T @ fc
+        fc = square = None  # freed before the next block's copy
+
+
+def _mirrored(w: np.ndarray) -> SymMatrix:
+    """The SymMatrix of w after its lower triangle is copied to the upper, block by block."""
+    b = GRAM_BLOCK
+    for lo in range(0, w.shape[0], b):
         for top in range(lo + b, w.shape[0], b):
-            w[top : top + b, lo : lo + b] += flat[:, top : top + b].T @ fc
+            w[lo : lo + b, top : top + b] = w[top : top + b, lo : lo + b].T
+    return SymMatrix._adopt(w)
 
 
 def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
-    """Principal Gramian block on the given nodes (ascending order), via memo."""
-    ids = node_set(node_ids, bundle.W.order)
+    """Principal Gramian block on the given nodes (ascending order).
+
+    The target block is the bundle's own; any other needs W and is kept via
+    memo.
+    """
+    ids = node_set(node_ids, len(bundle.diag))
     if not ids:
         raise ValueError("node set must be nonempty")
+    if ids == bundle.targets:
+        return bundle.target
+    if bundle.W is None:
+        raise ValueError("the bundle was built without W; ask system.gramian(kf) for it")
     return bundle.memo(("block", ids), bundle.W.submatrix, ids)
 
 

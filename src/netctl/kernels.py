@@ -186,6 +186,46 @@ def sym_eig(m) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
+def dominant_eigenvector(m, steps: int = 32, cycles: int = 100) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of an entrywise nonnegative symmetric matrix.
+
+    Restarted Lanczos with full reorthogonalization: each cycle spans a
+    Krylov basis of up to `steps` orthonormal vectors from the last Ritz
+    vector (first the all-ones direction, which no nonnegative Perron
+    vector is orthogonal to) and takes the dominant Ritz vector y of the
+    projected matrix, until |M y - theta y| is within order * eps * |theta|,
+    the rounding of one product M y. Only the basis is held next to M,
+    where sym_eig would return order^2 eigenvector entries. The sign is
+    sym_eig's: the largest-magnitude entry is nonnegative. Raises
+    ConvergenceFailure after `cycles` cycles.
+    """
+    a = _as_sym(m).array
+    n = a.shape[0]
+    tol = n * np.finfo(float).eps
+    basis = np.empty((min(steps, n), n))
+    y = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(cycles):
+        basis[0] = y
+        size = 1
+        while size < basis.shape[0]:
+            v = a @ basis[size - 1]
+            scale = float(np.linalg.norm(v))
+            for _ in range(2):  # twice is enough to keep the basis orthonormal
+                v -= basis[:size].T @ (basis[:size] @ v)
+            norm = float(np.linalg.norm(v))
+            if norm <= tol * scale:
+                break  # the basis spans an invariant subspace
+            basis[size] = v / norm
+            size += 1
+        span = basis[:size]
+        theta, s = np.linalg.eigh(span @ (a @ span.T))
+        y = s[:, -1] @ span
+        y /= np.linalg.norm(y)
+        if np.linalg.norm(a @ y - theta[-1] * y) <= tol * abs(theta[-1]):
+            return _canonical_signs(y[:, None])[:, 0]
+    raise ConvergenceFailure(f"dominant eigenvector not found in {cycles} Lanczos cycles")
+
+
 def spd_check(m) -> tuple[float, float]:
     """Return (lambda_min, lambda_max); raise NotPositiveDefinite if not SPD.
 

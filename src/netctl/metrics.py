@@ -3,7 +3,9 @@
 All quantities derive from the Gramian block on the target set: the minimum
 input energy that moves the targets to a goal, the least-energy ("least
 secure") goal direction, per-projection and per-node energies, and the
-security floor obtained from the full-network Gramian.
+security floor obtained from the full-network Gramian. Only that floor reads
+W itself; every other metric reads the bundle's target block, diag W and
+Markov blocks, so it never has W formed.
 
 W sums squares of the nonnegative entries of A^k B, so a diagonal entry of
 W is 0.0 exactly when no path reaches its node within the horizon; any
@@ -24,7 +26,7 @@ from .errors import (
     NodeUnreachable,
     NotControllable,
 )
-from .gramian import ConsensusSystem, gramian_submatrix
+from .gramian import ConsensusSystem, GramianBundle
 from .netgraph import node_set
 
 # A projection is degenerate when its quadratic form is below this times lambda_max.
@@ -85,9 +87,14 @@ class MetricsReport:
         }
 
 
+def _parts(system: ConsensusSystem, kf: int) -> GramianBundle:
+    """The system's bundle at kf, built without W if none is kept."""
+    return system.gramian(kf, with_w=False)
+
+
 def target_gramian(system: ConsensusSystem, kf: int) -> kernels.SymMatrix:
     """Gramian block on the system's target set."""
-    return gramian_submatrix(system.gramian(kf), system.targets)
+    return _parts(system, kf).target
 
 
 def target_controllable(system: ConsensusSystem, kf: int) -> ControllabilityWitness:
@@ -137,7 +144,7 @@ def _schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
     v is one goal (p,) or a stack (s, p), giving (kf, m) or (kf, s, m), from
     the Markov blocks compute_gramian kept or else by propagating v.
     """
-    bundle = system.gramian(kf)
+    bundle = _parts(system, kf)
     blocks = bundle.memo(("markov", system.targets))
     if blocks is None:
         return _propagated_schedule(system, bundle.kf, v)
@@ -163,8 +170,21 @@ def target_security(system: ConsensusSystem, kf: int) -> tuple[float, np.ndarray
     Gramian eigenvalue and y_min the corresponding unit eigenvector,
     sign-normalized.
     """
-    pairs = _controllable_block(system, kf).eig
-    return 1.0 / pairs.lambda_max, pairs.dominant.copy()
+    _, lam_max, y = _extreme_pairs(system, _controllable_block(system, kf))
+    return 1.0 / lam_max, y.copy()
+
+
+def _extreme_pairs(system: ConsensusSystem, q: kernels.SymMatrix) -> tuple[float, float, np.ndarray]:
+    """lambda_min and lambda_max of the target block q, and the unit eigenvector of lambda_max.
+
+    From q's eigendecomposition; when every node is a target, q is W, whose
+    eigenvectors would be a second n x n array, so the values come from
+    eigvalsh and the vector from kernels.dominant_eigenvector.
+    """
+    if system.p < system.n:
+        pairs = q.eig
+        return pairs.lambda_min, pairs.lambda_max, pairs.dominant
+    return float(q.values[0]), float(q.values[-1]), kernels.dominant_eigenvector(q)
 
 
 def _degenerate(q: kernels.SymMatrix, forms):
@@ -211,7 +231,7 @@ def projection_security(system: ConsensusSystem, kf: int) -> tuple[float, int]:
 def node_energy(system: ConsensusSystem, kf: int, node: int) -> float:
     """Energy to move a single node's state by one unit at time kf."""
     (c,) = node_set([node], system.n)
-    val = float(system.gramian(kf).W.array[c, c])
+    val = float(_parts(system, kf).diag[c])
     if val <= 0.0:
         raise NodeUnreachable(f"node {c} unreachable within horizon {kf}")
     return 1.0 / val
@@ -219,7 +239,7 @@ def node_energy(system: ConsensusSystem, kf: int, node: int) -> float:
 
 def node_energies(system: ConsensusSystem, kf: int) -> np.ndarray:
     """Vector of per-node energies; unreachable nodes get inf."""
-    diag = np.diag(system.gramian(kf).W.array)
+    diag = _parts(system, kf).diag
     out = np.full(system.n, math.inf)
     ok = diag > 0.0
     out[ok] = 1.0 / diag[ok]
@@ -231,7 +251,7 @@ def cutset_energy(system: ConsensusSystem, kf: int, cutset) -> float:
     ids = node_set(cutset, system.n)
     if not ids:
         raise ValueError("cutset must be nonempty")
-    diag = system.gramian(kf).W.array[list(ids), list(ids)]
+    diag = _parts(system, kf).diag[list(ids)]
     top = float(diag.max())
     if top <= 0.0:
         raise NodeUnreachable(f"no cutset node reachable within horizon {kf}")
@@ -249,17 +269,16 @@ def full_target_security(system: ConsensusSystem, kf: int) -> float:
 def metrics_report(system: ConsensusSystem, kf: int) -> MetricsReport:
     """Assemble the standard metrics summary at one horizon."""
     q = target_gramian(system, kf)
-    pairs = q.eig
-    lam_max = pairs.lambda_max
+    lam_min, lam_max, y_min = _extreme_pairs(system, q)
     e_min = 1.0 / lam_max if lam_max > 0.0 else math.inf
     f_min, j_min = projection_security(system, kf)
     return MetricsReport(
-        kf=system.gramian(kf).kf,
+        kf=_parts(system, kf).kf,
         controllable=q.spd,
-        lambda_min=pairs.lambda_min,
+        lambda_min=lam_min,
         lambda_max=lam_max,
         E_min=e_min,
-        y_min=pairs.dominant.copy(),
+        y_min=y_min.copy(),
         F_min=f_min,
         j_min=j_min,
         node_energies=node_energies(system, kf),

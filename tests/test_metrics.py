@@ -359,9 +359,9 @@ class TestBundleHorizon:
         builds = []
         build = gramian.compute_gramian
 
-        def counting_build(system, kf):
+        def counting_build(system, kf, **parts):
             builds.append(kf)
-            return build(system, kf)
+            return build(system, kf, **parts)
 
         monkeypatch.setattr(gramian, "compute_gramian", counting_build)
         result = pickle.dumps(self.CALLS[name](sys2))
