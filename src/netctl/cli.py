@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, metrics, audit, node-energies. Exit codes: 0 success,
-2 invalid input or generation failure, 3 target set not controllable,
-4 network not ergodic, 5 audit violation, 6 supplied set is not a
-separating cutset. All JSON output has sorted keys; CSV numbers use
-17-significant-digit formatting. A command builds the Gramian at kf once;
+2 invalid input, generation failure or an array too large to allocate, 3
+target set not controllable, 4 network not ergodic, 5 audit violation, 6
+supplied set is not a separating cutset. All JSON output has sorted keys;
+CSV numbers use 17-significant-digit formatting. A command builds the Gramian at kf once;
 T5 reuses kf as its first horizon.
 """
 
@@ -248,6 +248,9 @@ def main(argv=None) -> int:
         return 6
     except (NetctlError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

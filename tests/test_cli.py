@@ -142,6 +142,19 @@ def test_node_count_alone_sets_no_memory(tmp_path):
     assert grown_kb < 20 * 1024
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """An array too large to allocate ends in one error line, not a traceback."""
+    from netctl import gramian
+
+    def no_memory(system, kf, **parts):
+        raise MemoryError("Unable to allocate 488. MiB for an array with shape (8000, 8000)")
+
+    monkeypatch.setattr(gramian, "compute_gramian", no_memory)
+    code, out, err = run(capsys, "node-energies", "--net", write_two_node(tmp_path), "--kf", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 488. MiB for an array with shape (8000, 8000)\n"
+
+
 class TestMetrics:
     def test_goal_flow(self, tmp_path, capsys):
         net = write_two_node(tmp_path)

@@ -18,6 +18,7 @@ from netctl import (
     optimal_target_input,
     random_geometric,
     solve_spd,
+    verify_optimal_input,
 )
 from netctl import metrics
 
@@ -118,6 +119,90 @@ class TestComputeGramian:
         assert np.array_equal(w, w.T)
         oracle = support.naive_gramian(sysr.A, sysr.B, 70)
         assert np.max(np.abs(w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def _readme_system() -> ConsensusSystem:
+    """The README network: gen --n 50 --radius 0.25 --seed 7 --targets 40,45."""
+    return ConsensusSystem(random_geometric(50, 0.25, 7), [0], [40, 45])
+
+
+def _part_cases():
+    """(system, kf): README network, two sources, every node a target, 20 sweep_small-style."""
+    g = random_geometric(60, 0.3, 5)
+    yield _readme_system(), 200
+    yield ConsensusSystem(g, [0, 17], [3, 30, 59]), 150
+    yield ConsensusSystem(g, [0], range(60)), 90
+    for i in range(20):
+        sysr = support.random_ergodic_system([44, i], 3, 10, num_sources=1, num_targets=2)
+        yield sysr, min_positive_horizon(sysr, sysr.targets) + 20
+
+
+class TestBundleParts:
+    """A build without W yields the same diag W, target block and Markov blocks."""
+
+    @pytest.mark.parametrize("case", range(23))
+    def test_parts_match_w(self, case):
+        sysr, kf = list(_part_cases())[case]
+        full = compute_gramian(sysr, kf)
+        lean = compute_gramian(sysr, kf, with_w=False)
+        w = full.W.array
+        assert (lean.W is None) == (sysr.p < sysr.n)
+        ids = list(sysr.targets)
+        block = w[np.ix_(ids, ids)]
+        for bundle in (lean, full):
+            assert np.max(np.abs(bundle.diag - np.diag(w))) <= 1e-15 * np.max(np.diag(w))
+            gap = np.max(np.abs(bundle.target.array - block))
+            assert gap <= 1e-15 * np.max(np.abs(block))
+            assert gramian_submatrix(bundle, sysr.targets) is bundle.target
+        key = ("markov", sysr.targets)
+        if lean.memo(key) is not None:
+            assert np.array_equal(lean.memo(key), full.memo(key))
+        else:
+            assert full.memo(key) is None
+
+    def test_other_blocks_need_w(self):
+        sysr = _readme_system()
+        lean = compute_gramian(sysr, 200, with_w=False)
+        with pytest.raises(ValueError):
+            gramian_submatrix(lean, [0, 40])
+
+    def test_asking_for_w_replaces_the_kept_parts(self):
+        """A bundle without W serves later calls at kf until W is asked for."""
+        sysr = _readme_system()
+        lean = sysr.gramian(200, with_w=False)
+        assert sysr.gramian(200, with_w=False) is lean
+        full = sysr.gramian(200)
+        assert full is not lean and full.W is not None
+        assert sysr.gramian(200, with_w=False) is full
+
+
+class TestCommandMemory:
+    """The metrics commands hold no n x n array; the system is built before tracing."""
+
+    N = 400
+
+    @pytest.fixture
+    def sysr(self):
+        return ConsensusSystem(random_geometric(self.N, 0.1, 7), [0], [1, 150, 399])
+
+    def test_node_energies(self, sysr):
+        assert support.traced_peak(metrics.node_energies, sysr, 400) < 0.25 * self.N**2 * 8
+
+    def test_metrics_report_and_input(self, sysr):
+        def run():
+            metrics.metrics_report(sysr, 400)
+            optimal_target_input(sysr, 400, [1.0, -1.0, 2.0])
+
+        assert support.traced_peak(run) < 0.25 * self.N**2 * 8
+
+    def test_verify_optimal_input(self, sysr):
+        peak = support.traced_peak(verify_optimal_input, sysr, 400, [1.0, -1.0, 2.0])
+        assert peak < 0.25 * self.N**2 * 8
+
+    def test_every_node_a_target(self):
+        """The target block is W itself, and its eigenvectors are never formed."""
+        sysr = ConsensusSystem(random_geometric(self.N, 0.1, 7), [0], range(self.N))
+        assert support.traced_peak(metrics.metrics_report, sysr, 400) < 1.3 * self.N**2 * 8
 
 
 def _not_kept():

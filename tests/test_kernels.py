@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import netctl
 import support
+from netctl import kernels
 from netctl import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -117,6 +118,33 @@ class TestSymEig:
         for j in range(order):
             col = pairs.vectors[:, j]
             assert col[np.argmax(np.abs(col))] >= 0
+
+
+class TestDominantEigenvector:
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(1, 80), seed=st.integers(0, 10**6))
+    def test_matches_sym_eig_on_nonnegative_matrices(self, order, seed):
+        """Up to the eigenvalue gap: the Ritz residual is within order * eps * lambda_max."""
+        m = np.abs(np.random.default_rng(seed).standard_normal((order, order)))
+        m = SymMatrix(m @ m.T)
+        pairs = sym_eig(m)
+        y = kernels.dominant_eigenvector(m)
+        gap = pairs.lambda_max - (pairs.values[-2] if order > 1 else 0.0)
+        assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-14)
+        assert y[np.argmax(np.abs(y))] >= 0
+        err = np.max(np.abs(y - pairs.dominant))
+        assert err <= 1e-13 * max(1.0, pairs.lambda_max / gap) * max(order, 10)
+
+    def test_gramians_with_every_node_a_target(self):
+        """The vector metrics_report gives when the target block is W."""
+        for n, kf in ((50, 200), (120, 30), (120, 600)):
+            system = netctl.ConsensusSystem(netctl.random_geometric(n, 0.25, 7), [0], range(n))
+            w = netctl.compute_gramian(system, kf).W
+            assert np.max(np.abs(kernels.dominant_eigenvector(w) - sym_eig(w).dominant)) < 1e-13
+
+    def test_zero_matrix(self):
+        y = kernels.dominant_eigenvector(np.zeros((3, 3)))
+        np.testing.assert_allclose(y, np.full(3, 3**-0.5))
 
 
 class TestSpdSolve:

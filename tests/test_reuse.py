@@ -24,6 +24,7 @@ def counts(monkeypatch):
 
     def counting_build(*args, **kwargs):
         tally["builds"] += 1
+        tally["builds_with_w"] += kwargs.get("with_w", True)
         return build(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -134,3 +135,36 @@ def test_bundle_keeps_no_block_as_large_as_w(graph):
     assert gramian.gramian_submatrix(bundle, every) is not gramian.gramian_submatrix(
         bundle, every
     )
+
+
+@pytest.fixture(scope="module")
+def readme_net(tmp_path_factory):
+    """gen --n 50 --radius 0.25 --seed 7 --targets 40,45"""
+    path = tmp_path_factory.mktemp("readme") / "net.json"
+    assert run(["gen", "--n", 50, "--radius", 0.25, "--seed", 7, "--targets", "40,45",
+                "--out", path]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, passes, with_w", [
+    (["metrics", "--goal"], 0, 1, 0),
+    (["node-energies"], 0, 1, 0),
+    (["audit", "--min-cutset"], 5, 3, 3),  # exits 5 on T5.3, as the README says
+])
+def test_readme_network_passes(readme_net, tmp_path, counts, argv, code, passes, with_w):
+    """One pass per horizon; only the audit forms W, at each of its three horizons."""
+    goal = tmp_path / "goal.csv"
+    goal.write_text("1\n-1\n")
+    extra = {"--goal": [goal, "--input-out", tmp_path / "u.csv"]}
+    args = [argv[0], "--net", readme_net, "--kf", 200, "--out", tmp_path / "out"]
+    for flag in argv[1:]:
+        args += [flag, *extra.get(flag, [])]
+    assert run(args) == code
+    assert (counts["builds"], counts["builds_with_w"]) == (passes, with_w)
+
+
+def test_readme_network_verify_one_pass(readme_net, counts):
+    graph, sources, targets = netctl.load_network(readme_net)
+    system = netctl.ConsensusSystem(graph, sources, targets)
+    assert netctl.verify_optimal_input(system, 200, [1.0, -1.0]).goal_error < 1e-9
+    assert (counts["builds"], counts["builds_with_w"]) == (1, 0)
