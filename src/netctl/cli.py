@@ -4,8 +4,8 @@ Subcommands: gen, metrics, audit, node-energies. Exit codes: 0 success,
 2 invalid input, generation failure or an array too large to allocate, 3
 target set not controllable, 4 network not ergodic, 5 audit violation, 6
 supplied set is not a separating cutset. All JSON output has sorted keys;
-CSV numbers use 17-significant-digit formatting. A command builds the Gramian at kf once;
-T5 reuses kf as its first horizon.
+CSV numbers use 17-significant-digit formatting. A command builds the
+Gramian at kf once; T5 reuses kf as its first horizon.
 """
 
 from __future__ import annotations

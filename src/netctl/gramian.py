@@ -82,7 +82,8 @@ class ConsensusSystem:
         kf = _check_horizon(kf)
         kept = self._bundle
         if kept is None or kept.kf != kf or (with_w and kept.W is None):
-            kept = self._bundle = None  # dropped before the build: one Gramian per system is alive
+            # both references dropped before the build: one Gramian per system is alive
+            kept = self._bundle = None
             self._bundle = compute_gramian(self, kf, with_w=with_w)
         return self._bundle
 

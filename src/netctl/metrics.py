@@ -174,8 +174,8 @@ def target_security(system: ConsensusSystem, kf: int) -> tuple[float, np.ndarray
     return 1.0 / lam_max, y.copy()
 
 
-def _extreme_pairs(system: ConsensusSystem, q: kernels.SymMatrix) -> tuple[float, float, np.ndarray]:
-    """lambda_min and lambda_max of the target block q, and the unit eigenvector of lambda_max.
+def _extreme_pairs(system: ConsensusSystem, q: kernels.SymMatrix):
+    """(lambda_min, lambda_max, unit eigenvector of lambda_max) of the target block q.
 
     From q's eigendecomposition; when every node is a target, q is W, whose
     eigenvectors would be a second n x n array, so the values come from

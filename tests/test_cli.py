@@ -152,7 +152,9 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(gramian, "compute_gramian", no_memory)
     code, out, err = run(capsys, "node-energies", "--net", write_two_node(tmp_path), "--kf", "2")
     assert (code, out) == (2, "")
-    assert err == "error: out of memory: Unable to allocate 488. MiB for an array with shape (8000, 8000)\n"
+    assert err == (
+        "error: out of memory: Unable to allocate 488. MiB for an array with shape (8000, 8000)\n"
+    )
 
 
 class TestMetrics:
