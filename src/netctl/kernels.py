@@ -24,6 +24,9 @@ SPD_RTOL = 1e-12
 CSV_FORMAT = "%.17g"
 # Triangular systems up to this order are solved row by row; larger ones split in two.
 SUBSTITUTION_BLOCK = 32
+# Krylov basis size and restart limit of dominant_eigenvector.
+LANCZOS_STEPS = 32
+LANCZOS_CYCLES = 100
 
 
 class SymMatrix:
@@ -186,25 +189,25 @@ def sym_eig(m) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def dominant_eigenvector(m, steps: int = 32, cycles: int = 100) -> np.ndarray:
+def dominant_eigenvector(m) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of an entrywise nonnegative symmetric matrix.
 
     Restarted Lanczos with full reorthogonalization: each cycle spans a
-    Krylov basis of up to `steps` orthonormal vectors from the last Ritz
+    Krylov basis of up to LANCZOS_STEPS orthonormal vectors from the last Ritz
     vector (first the all-ones direction, which no nonnegative Perron
     vector is orthogonal to) and takes the dominant Ritz vector y of the
     projected matrix, until |M y - theta y| is within order * eps * |theta|,
     the rounding of one product M y. Only the basis is held next to M,
     where sym_eig would return order^2 eigenvector entries. The sign is
     sym_eig's: the largest-magnitude entry is nonnegative. Raises
-    ConvergenceFailure after `cycles` cycles.
+    ConvergenceFailure after LANCZOS_CYCLES cycles.
     """
     a = _as_sym(m).array
     n = a.shape[0]
     tol = n * np.finfo(float).eps
-    basis = np.empty((min(steps, n), n))
+    basis = np.empty((min(LANCZOS_STEPS, n), n))
     y = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(cycles):
+    for _ in range(LANCZOS_CYCLES):
         basis[0] = y
         size = 1
         while size < basis.shape[0]:
@@ -223,7 +226,9 @@ def dominant_eigenvector(m, steps: int = 32, cycles: int = 100) -> np.ndarray:
         y /= np.linalg.norm(y)
         if np.linalg.norm(a @ y - theta[-1] * y) <= tol * abs(theta[-1]):
             return _canonical_signs(y[:, None])[:, 0]
-    raise ConvergenceFailure(f"dominant eigenvector not found in {cycles} Lanczos cycles")
+    raise ConvergenceFailure(
+        f"dominant eigenvector not found in {LANCZOS_CYCLES} Lanczos cycles"
+    )
 
 
 def spd_check(m) -> tuple[float, float]:
