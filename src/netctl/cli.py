@@ -171,6 +171,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if bad or not requested:
         raise ValueError(f"--theorems must be a nonempty subset of 1..5, got {args.theorems}")
     system = _load_system(args.net)
+    if 5 in requested:
+        # solved before the first Gramian, so its two n x n temporaries never meet W
+        system.perron()
     reports = []
     if 1 in requested:
         reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf))

@@ -41,7 +41,7 @@ class ConsensusSystem:
 
     Attributes A (n x n), B (n x m) and C (p x n) are read-only float arrays;
     sources and targets are ascending node tuples. gramian(kf) keeps the
-    bundle of the last horizon asked for.
+    bundle of the last horizon asked for, perron() the left Perron vector.
     """
 
     def __init__(self, graph: WeightedDigraph, sources, targets):
@@ -70,6 +70,14 @@ class ConsensusSystem:
         c.setflags(write=False)
         self.C = c
         self._bundle = None
+        self._perron = None
+
+    def perron(self) -> np.ndarray:
+        """Left Perron vector of A by left_perron, solved on first use and kept (read-only)."""
+        if self._perron is None:
+            self._perron = left_perron(self)
+            self._perron.setflags(write=False)
+        return self._perron
 
     def gramian(self, kf: int, with_w: bool = True) -> GramianBundle:
         """The Gramian bundle at horizon kf, built by compute_gramian on first use.
@@ -314,7 +322,7 @@ def asymptotic_decomposition(system: ConsensusSystem, node_ids, kf: int) -> Asym
     bundle = system.gramian(kf)
     kf = bundle.kf
     q = gramian_submatrix(bundle, node_ids).array
-    w = left_perron(system)
+    w = system.perron()
     weight = float(np.sum(w[list(system.sources)] ** 2))
     coeff = kf * weight
     h = q - coeff * np.ones_like(q)

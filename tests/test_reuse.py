@@ -168,3 +168,23 @@ def test_readme_network_verify_one_pass(readme_net, counts):
     system = netctl.ConsensusSystem(graph, sources, targets)
     assert netctl.verify_optimal_input(system, 200, [1.0, -1.0]).goal_error < 1e-9
     assert (counts["builds"], counts["builds_with_w"]) == (1, 0)
+
+
+def test_audit_solves_perron_once_before_any_gramian(readme_net, tmp_path, monkeypatch):
+    """Theorem 5 at three horizons solves for the Perron vector once, while no W is alive."""
+    events = []
+    build, solve = gramian.compute_gramian, gramian.left_perron
+
+    def counting_build(system, kf, **parts):
+        events.append(("build", kf))
+        return build(system, kf, **parts)
+
+    def counting_solve(system):
+        events.append(("perron", system._bundle))
+        return solve(system)
+
+    monkeypatch.setattr(gramian, "compute_gramian", counting_build)
+    monkeypatch.setattr(gramian, "left_perron", counting_solve)
+    assert run(["audit", "--net", readme_net, "--kf", 200, "--min-cutset",
+                "--out", tmp_path / "a.json"]) == 5
+    assert events == [("perron", None), ("build", 200), ("build", 400), ("build", 800)]
