@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, metrics
-from .errors import DegenerateProjection, NotACutset
+from .errors import NotACutset
 from .gramian import (
     ConsensusSystem,
     asymptotic_decomposition,
@@ -91,28 +91,6 @@ def _check(check_id: str, tolerance: float, holds=True, adequate=True, at_kstar=
         tolerance=tolerance,
         horizon_adequate=bool(adequate),
     )
-
-
-def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / float(np.linalg.norm(v))
-
-
-def _unit_one_norm(rng: np.random.Generator, dim: int) -> np.ndarray:
-    mags = rng.dirichlet(np.ones(dim))
-    signs = rng.integers(0, 2, size=dim) * 2 - 1
-    return mags * signs
-
-
-def _draws(draw, seed: int, tag: int, samples: int, dim: int) -> np.ndarray:
-    """(samples, dim) draws; row i is draw(rng, dim) on its own stream [seed, tag, i]."""
-    rows = [draw(np.random.default_rng([seed, tag, i]), dim) for i in range(samples)]
-    return np.array(rows).reshape(samples, dim)
-
-
-def _forms(q: kernels.SymMatrix, alphas: np.ndarray) -> np.ndarray:
-    """alpha^T Q alpha for each row alpha of alphas."""
-    return np.einsum("ij,ij->i", alphas @ q.array, alphas)
 
 
 def _block(system: ConsensusSystem, node_ids, kf: int):
@@ -233,6 +211,21 @@ def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     return AuditReport(checks=(check,))
 
 
+def _markov_min(system: ConsensusSystem, kf: int) -> float:
+    """Least entry of the Markov blocks C A^k B, k < kf: of the kept blocks, or else
+    a running minimum over compute_gramian's own propagation (same bits, no stack).
+    """
+    blocks = system.gramian(kf).memo(("markov", system.targets))
+    if blocks is not None:
+        return float(blocks.min())
+    rows, least = list(system.targets), math.inf
+    x, at = system.B.T.copy(), system.A.T
+    for _ in range(kf):
+        least = min(least, float(x[:, rows].min()))
+        x = x @ at
+    return least
+
+
 def audit_theorem2(
     system: ConsensusSystem, kf: int, samples: int = 100, seed: int = 0
 ) -> AuditReport:
@@ -241,13 +234,16 @@ def audit_theorem2(
     T2.1 the least-secure goal direction is strictly positive and its optimal
          input schedule is entrywise nonnegative.
     T2.2 (two targets) replacing a goal by its entrywise absolute value never
-         raises the goal energy.
-    T2.3 same monotonicity for projections, any target count, and the optimal
-         input for a nonnegative projection is entrywise nonnegative.
+         raises the goal energy; judged at the goal (1, -1) / sqrt(2).
+    T2.3 same monotonicity for projections, any target count, judged at
+         (e_i - e_j) / sqrt(2) on the least off-diagonal entry Q_ij; and the
+         optimal input for a nonnegative projection is entrywise
+         nonnegative, judged on the least Markov-block entry.
     T2.4 strict security chain: full-network E_min < target E_min < F_min
          (the upper strictness applies to two or more targets; with one
          target E_min and F_min coincide by definition).
-    Raises NotControllable when the target block is singular at kf.
+    Raises NotControllable when the target block is singular at kf. samples
+    and seed are accepted and ignored (README, "Audit checks").
     """
     kstar = min_positive_horizon(system, system.targets)
     system.gramian(kf)  # with W, which T2.4 reads: the parts alone would mean a second build
@@ -270,28 +266,26 @@ def audit_theorem2(
     if p != 2:
         checks.append(_check("T2.2", REL_SLACK, adequate=False, targets=float(p)))
     else:
-        y = _draws(_unit_sphere, seed, 22, samples, p)
-        goals = np.concatenate([y, np.abs(y)])
-        signed, absolute = np.split(np.einsum("ij,ji->i", goals, kernels.solve_spd(q, goals.T)), 2)
-        worst = float(np.max(absolute - signed * (1.0 + REL_SLACK), initial=-math.inf))
-        checks.append(_check(
-            "T2.2", REL_SLACK, worst <= 0.0, worst_excess=worst, samples=float(samples)
-        ))
+        # |y|^T R |y| - y^T R y = 2 R_12 (|y_1 y_2| - y_1 y_2) is positive for some y iff here
+        y = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        goals = np.stack([y, np.abs(y)])
+        signed, absolute = np.einsum("ij,ji->i", goals, kernels.solve_spd(q, goals.T))
+        excess = float(absolute - signed * (1.0 + REL_SLACK))
+        checks.append(_check("T2.2", REL_SLACK, excess <= 0.0, opposite_sign_excess=excess))
 
-    a = _draws(_unit_sphere, seed, 23, samples, p)
-    forms = _forms(q, np.concatenate([a, np.abs(a)]))
-    if metrics._degenerate(q, forms).any():
-        raise DegenerateProjection("a sampled projection carries no reachable energy")
-    signed, absolute = np.split(forms, 2)
-    worst = float(np.max(1.0 / absolute - (1.0 / signed) * (1.0 + REL_SLACK), initial=-math.inf))
-    # optimal inputs for |a|, in stacks of schedules of at most max(n^2, 2^16) entries
-    rows, input_min = max(1, max(system.n**2, 1 << 16) // (kf * system.m)), math.inf
-    for i in range(0, samples, rows):
-        u = metrics._schedule(system, kf, np.abs(a[i : i + rows]))
-        input_min = min(input_min, float(np.min(u / absolute[i : i + rows, None])))
+    # |a|^T Q |a| >= a^T Q a for every a iff no off-diagonal Q_ij is negative, so
+    # a = (e_i - e_j) / sqrt(2) on the least one breaks it iff any a does (p = 1: a = e_1)
+    i, j = divmod(int(np.argmin(q.array + np.diag(np.full(p, math.inf)))), p)
+    a = np.zeros(p)
+    a[i], a[j] = 1.0, (-1.0 if p > 1 else 1.0)
+    a /= np.linalg.norm(a)
+    signed, absolute = (float(v @ q.array @ v) for v in (a, np.abs(a)))
+    excess = 1.0 / absolute - (1.0 / signed) * (1.0 + REL_SLACK)
+    # the inputs for nonnegative projections are sums of Markov entries with nonnegative weights
+    markov_min = _markov_min(system, kf)
     checks.append(_check(
-        "T2.3", REL_SLACK, worst <= 0.0 and input_min >= -INPUT_TOL,
-        worst_excess=worst, input_smallest=input_min, samples=float(samples),
+        "T2.3", REL_SLACK, excess <= 0.0 and markov_min >= -INPUT_TOL,
+        opposite_pair_excess=excess, markov_min=markov_min,
     ))
 
     if system.p == system.n:
@@ -319,14 +313,17 @@ def audit_cutset(
     With d the largest Gramian diagonal over the cutset and E_C its
     reciprocal:
     T3.1 every target-block entry is at most d.
-    T3.2 the target-block quadratic form over unit-1-norm vectors is at most d.
+    T3.2 the target-block form over unit-1-norm vectors is at most d; its
+         maximum is the largest target-block diagonal entry.
     T3.3 lambda_max of the target block is at most p * d.
-    T4.1 sampled projection energies are at least E_C.
+    T4.1 projection energies over unit-1-norm vectors are at least E_C; the
+         least is 1 / that entry (inf when its form is degenerate).
     T4.2 F_min >= E_C.
     T4.3 E_min >= E_C / p.
     Raises NotACutset when the set does not separate sources from targets,
     NodeUnreachable when no cutset node carries energy at kf. If the targets
-    carry no energy at kf, all six checks are not applicable.
+    carry no energy at kf, all six checks are not applicable. samples and
+    seed are accepted and ignored (README, "Audit checks").
     """
     ids = node_set(cutset, system.n)
     if not ids:
@@ -345,28 +342,22 @@ def audit_cutset(
         ))
 
     max_entry = float(target_block.array.max())
-    forms = _forms(target_block, _draws(_unit_one_norm, seed, 32, samples, p))
-    worst_form = float(np.max(forms, initial=-math.inf))
-    forms = _forms(target_block, _draws(_unit_one_norm, seed, 41, samples, p))
-    # degenerate forms are infinite energies; the least energy is 1 / the largest other form
-    top = float(np.max(forms[~metrics._degenerate(target_block, forms)], initial=0.0))
-    worst_energy = 1.0 / top if top > 0.0 else math.inf
+    # a convex form peaks on the unit 1-norm ball at a vertex +-e_j: the largest diagonal,
+    # whose reciprocal is the least projection energy unless that form is degenerate
+    max_diag = float(np.diag(target_block.array).max())
+    least_energy = math.inf if metrics._degenerate(target_block, max_diag) else 1.0 / max_diag
     lam_max = float(target_block.values[-1])
     e_min = 1.0 / lam_max
     d_top, e_low = d_cut * (1.0 + REL_SLACK), e_cut * (1.0 - REL_SLACK)
     checks = (
         _check("T3.1", REL_SLACK, max_entry <= d_top, max_entry=max_entry, cut_diagonal=d_cut),
-        _check(
-            "T3.2", REL_SLACK, worst_form <= d_top,
-            worst_form=worst_form, cut_diagonal=d_cut, samples=float(samples),
-        ),
+        _check("T3.2", REL_SLACK, max_diag <= d_top, max_diagonal=max_diag, cut_diagonal=d_cut),
         _check(
             "T3.3", REL_SLACK, lam_max <= p * d_cut * (1.0 + REL_SLACK),
             lambda_max=lam_max, bound=p * d_cut,
         ),
         _check(
-            "T4.1", REL_SLACK, worst_energy >= e_low,
-            worst_energy=worst_energy, cut_energy=e_cut, samples=float(samples),
+            "T4.1", REL_SLACK, least_energy >= e_low, least_energy=least_energy, cut_energy=e_cut
         ),
         _check("T4.2", REL_SLACK, f_min >= e_low, F_min=f_min, cut_energy=e_cut),
         _check(

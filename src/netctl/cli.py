@@ -15,12 +15,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import audit as audit_mod
 from . import metrics as metrics_mod
 from .errors import (
     ConnectivityFailure,
+    DimensionMismatch,
     NetctlError,
     NotACutset,
     NotControllable,
@@ -69,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     met = sub.add_parser("metrics", help="security metrics report")
     met.add_argument("--net", required=True, help="network JSON path")
     met.add_argument("--kf", type=_positive_int, required=True, help="time horizon")
-    met.add_argument("--goal", default=None, help="single-column CSV goal vector")
+    met.add_argument(
+        "--goal", default=None, help="single-column CSV goal vector, one row per target"
+    )
     met.add_argument(
         "--input-out", default=None, help="path for the optimal input CSV (with --goal)"
     )
@@ -85,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(ALL_THEOREMS),
         help="comma-separated subset of 1,2,3,4,5 (default all)",
     )
-    aud.add_argument("--samples", type=_positive_int, default=100)
-    aud.add_argument("--seed", type=int, default=0)
+    ignored = "accepted and ignored: every check is exact (README, Audit checks)"
+    aud.add_argument("--samples", type=_positive_int, default=100, help=ignored)
+    aud.add_argument("--seed", type=int, default=0, help=ignored)
     cut = aud.add_mutually_exclusive_group()
     cut.add_argument("--cutset", type=_int_list, default=None, help="cutset nodes")
     cut.add_argument(
@@ -139,6 +141,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if (args.goal is None) != (args.input_out is None):
         raise ValueError("--goal and --input-out must be given together")
     system = _load_system(args.net)
+    goal = None if args.goal is None else load_matrix_csv(args.goal)
+    if goal is not None and goal.shape != (system.p, 1):
+        raise DimensionMismatch(
+            f"--goal must be a single column of {system.p} entries, got shape {goal.shape}"
+        )
     report = metrics_mod.metrics_report(system, args.kf)
     payload = report.to_json_dict()
     if not report.controllable:
@@ -149,9 +156,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    if args.goal is not None:
-        goal = np.ravel(load_matrix_csv(args.goal))
-        seq = metrics_mod.optimal_target_input(system, args.kf, goal)
+    if goal is not None:
+        seq = metrics_mod.optimal_target_input(system, args.kf, goal[:, 0])
         save_matrix_csv(args.input_out, seq.u)
         payload["E"] = seq.energy
     _emit_json(payload, args.out)
@@ -179,9 +185,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         reports.append(audit_mod.audit_theorem1(system, system.targets, args.kf))
         reports.append(audit_mod.audit_corollary1(system, system.targets, args.kf))
     if 2 in requested:
-        reports.append(
-            audit_mod.audit_theorem2(system, args.kf, samples=args.samples, seed=args.seed)
-        )
+        reports.append(audit_mod.audit_theorem2(system, args.kf))
     if 3 in requested or 4 in requested:
         if args.cutset is not None:
             cutset = args.cutset
@@ -191,9 +195,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             )
         else:
             raise ValueError("theorems 3 and 4 require --cutset or --min-cutset")
-        cut_report = audit_mod.audit_cutset(
-            system, args.kf, cutset, samples=args.samples, seed=args.seed
-        )
+        cut_report = audit_mod.audit_cutset(system, args.kf, cutset)
         # "T3.2" belongs to theorem 3
         checks = tuple(c for c in cut_report.checks if int(c.id[1]) in requested)
         reports.append(audit_mod.AuditReport(checks=checks))

@@ -32,26 +32,16 @@ LANCZOS_CYCLES = 100
 class SymMatrix:
     """Symmetric float64 matrix. Storage is symmetrized once on construction.
 
-    Construction rejects inputs whose asymmetry exceeds SYMMETRY_TOL relative
-    to the largest entry magnitude. The matrix is immutable, so its
-    eigenvalues, eigendecomposition and Cholesky factor are computed on first
-    use and kept.
+    Construction from outside data rejects inputs whose asymmetry exceeds
+    SYMMETRY_TOL relative to the largest entry magnitude. The matrix is
+    immutable, so its eigenvalues, eigendecomposition and Cholesky factor are
+    computed on first use and kept.
     """
 
     __slots__ = ("_a", "_values", "_eig", "_cho")
 
     def __init__(self, data):
-        self._own(np.array(data, dtype=float))
-
-    @classmethod
-    def _adopt(cls, a: np.ndarray) -> "SymMatrix":
-        """A SymMatrix that takes over the float64 array a (no copy); a is frozen."""
-        m = cls.__new__(cls)
-        m._own(a)
-        return m
-
-    def _own(self, a: np.ndarray) -> None:
-        """Check and symmetrize a in place, then keep it read-only."""
+        a = np.array(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         scale = max(1.0, float(-a.min()), float(a.max())) if a.size else 1.0
@@ -61,6 +51,20 @@ class SymMatrix:
                 f"matrix is not symmetric: max |a - a.T| = {skew:.3e} "
                 f"exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}"
             )
+        self._keep(a)
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SymMatrix":
+        """A SymMatrix that takes over a (no copy, no check); a is frozen.
+
+        a must be a square float64 array equal to its transpose bit for bit,
+        as the package's own builders make it.
+        """
+        m = cls.__new__(cls)
+        m._keep(a)
+        return m
+
+    def _keep(self, a: np.ndarray) -> None:
         a.setflags(write=False)
         self._a = a
         self._values = self._eig = self._cho = None

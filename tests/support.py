@@ -7,9 +7,12 @@ checks one sample at a time) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -97,6 +100,25 @@ def random_digraph(rng: np.random.Generator, n: int, degree: float) -> WeightedD
         weights /= weights.sum()
         edges.extend((u, v, float(w)) for u, w in zip(incoming, weights))
     return WeightedDigraph(n, edges)
+
+
+def sweep_small_systems(seed: int, count: int) -> list[tuple[ConsensusSystem, int]]:
+    """The first count systems of the benchmark's sweep_small corpus for seed, with their kf.
+
+    The generator is bench/workloads.py's random_system on default_rng([seed, 150]).
+    """
+    workloads = sys.modules.get("sweep_workloads")
+    if workloads is None:
+        path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("sweep_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    rng = np.random.default_rng([seed, 150])
+    out = []
+    for _ in range(count):
+        s = workloads.random_system(rng)
+        out.append((ConsensusSystem(WeightedDigraph(s.n, s.edges), s.sources, s.targets), s.kf))
+    return out
 
 
 def random_ergodic_system(
@@ -363,12 +385,14 @@ def brute_reach_horizon(a: np.ndarray, sources, block) -> int:
     raise AssertionError("no positive horizon within the search bound")
 
 
-def _sample_sphere(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+def sample_sphere(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+    """Draw index on the unit sphere, from its own stream [seed, tag, index]."""
     v = np.random.default_rng([seed, tag, index]).standard_normal(dim)
     return v / float(np.linalg.norm(v))
 
 
-def _sample_one_norm(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+def sample_one_norm(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
+    """Draw index on the unit 1-norm sphere, from its own stream [seed, tag, index]."""
     rng = np.random.default_rng([seed, tag, index])
     mags = rng.dirichlet(np.ones(dim))
     signs = rng.integers(0, 2, size=dim) * 2 - 1
@@ -378,14 +402,14 @@ def _sample_one_norm(seed: int, tag: int, index: int, dim: int) -> np.ndarray:
 def per_sample_theorem2(system, kf: int, samples: int, seed: int) -> dict:
     """T2.2 and T2.3 judged one sample at a time through the single-goal API.
 
-    Draws come from the audit's per-sample streams [seed, tag, i]; T2.2 only
-    with two targets. Returns {check id: (holds, witness)}.
+    Draws come from per-sample streams [seed, tag, i]; T2.2 only with two
+    targets. Returns {check id: (holds, witness)}.
     """
     out = {}
     if system.p == 2:
         worst, ok = -math.inf, True
         for i in range(samples):
-            y = _sample_sphere(seed, 22, i, system.p)
+            y = sample_sphere(seed, 22, i, system.p)
             e_signed = target_control_energy(system, kf, y)
             e_abs = target_control_energy(system, kf, np.abs(y))
             excess = e_abs - e_signed * (1.0 + REL_SLACK)
@@ -394,7 +418,7 @@ def per_sample_theorem2(system, kf: int, samples: int, seed: int) -> dict:
         out["T2.2"] = (ok, {"worst_excess": worst})
     worst, input_min, ok = -math.inf, math.inf, True
     for i in range(samples):
-        a = _sample_sphere(seed, 23, i, system.p)
+        a = sample_sphere(seed, 23, i, system.p)
         f_signed = projection_energy(system, kf, a)
         f_abs = projection_energy(system, kf, np.abs(a))
         excess = f_abs - f_signed * (1.0 + REL_SLACK)
@@ -419,11 +443,11 @@ def per_sample_cutset(system, kf: int, cutset, samples: int, seed: int) -> dict:
     wt = target_gramian(system, kf).array
     worst_form = -math.inf
     for i in range(samples):
-        a = _sample_one_norm(seed, 32, i, system.p)
+        a = sample_one_norm(seed, 32, i, system.p)
         worst_form = max(worst_form, float(a @ wt @ a))
     worst_energy = math.inf
     for i in range(samples):
-        a = _sample_one_norm(seed, 41, i, system.p)
+        a = sample_one_norm(seed, 41, i, system.p)
         try:
             f = projection_energy(system, kf, a)
         except DegenerateProjection:

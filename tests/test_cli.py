@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import support
-from netctl import cli, load_matrix_csv, save_network
+from netctl import (
+    ConsensusSystem,
+    audit_cutset,
+    audit_theorem2,
+    cli,
+    load_matrix_csv,
+    load_network,
+    min_separating_cutset,
+    save_network,
+)
 from netctl import audit as audit_mod
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -228,6 +237,30 @@ class TestMetrics:
         assert out == ""
         assert not u_path.exists()
 
+    @pytest.mark.parametrize("kf", ["200", "1"])
+    @pytest.mark.parametrize(
+        "text", ["1,-1,0.5,2\n", "1,-1\n0.5,2\n"], ids=["one_row", "two_by_two"]
+    )
+    def test_goal_not_one_column_exits_2(self, tmp_path, capsys, text, kf):
+        """A one-row or a 2x2 file holds p = 4 entries but is no single column;
+        it is refused also where the targets are not controllable (kf = 1)."""
+        net = str(tmp_path / "net.json")
+        targets = ("--targets", "40,41,45,46")
+        assert run(capsys, "gen", *README_NET[:-2], *targets, "--out", net)[0] == 0
+        goal = tmp_path / "goal.csv"
+        goal.write_text(text)
+        u_path, report = tmp_path / "u.csv", tmp_path / "report.json"
+        code, out, err = run(
+            capsys,
+            "metrics", "--net", net, "--kf", kf, "--goal", str(goal),
+            "--input-out", str(u_path), "--out", str(report),
+        )
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "single column of 4" in err
+        assert out == ""
+        assert not u_path.exists() and not report.exists()
+
     def test_input_out_without_goal_exits_2(self, tmp_path, capsys):
         net = write_two_node(tmp_path)
         u_path = tmp_path / "u.csv"
@@ -350,6 +383,23 @@ class TestAudit:
             assert list(c["witness"]) == list(g["witness"]), c["id"]
             for key, value in g["witness"].items():
                 assert c["witness"][key] == pytest.approx(value, rel=1e-7), (c["id"], key)
+
+    def test_audits_draw_no_random_numbers(self, tmp_path, capsys, monkeypatch):
+        """Every check is exact: no generator is made through the API or the CLI."""
+        net = str(tmp_path / "net.json")
+        assert run(capsys, "gen", *README_NET, "--out", net)[0] == 0
+        system = ConsensusSystem(*load_network(net))
+        cut = min_separating_cutset(system.graph, system.sources, system.targets)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("an audit asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        audit_theorem2(system, 200, samples=100, seed=3)
+        audit_cutset(system, 200, cut, samples=100, seed=3)
+        code, out, err = run(capsys, "audit", "--net", net, "--kf", "200", "--min-cutset")
+        assert code == 5
+        assert [line.split(":")[0] for line in err.splitlines()] == ["violation T5.3"]
 
     def test_endpoint_cutset(self, tmp_path, capsys):
         net = write_chain(tmp_path)

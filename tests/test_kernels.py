@@ -68,6 +68,23 @@ class TestSymMatrix:
         assert peak < 2.5 * a.nbytes
         assert s.array.tobytes() == (0.5 * (a + a.T)).tobytes()
 
+    def test_adopted_arrays_equal_their_transposes(self):
+        """Every adopting path hands over an exactly symmetric array: W and the
+        target block (with and without W), a principal block and an inverse."""
+        sysr = netctl.ConsensusSystem(netctl.random_geometric(150, 0.2, 4), [0, 7], [3, 70, 140])
+        bundle = netctl.compute_gramian(sysr, 90)
+        block = bundle.W.submatrix([1, 2, 70, 149])
+        for m in (
+            bundle.W,
+            bundle.target,
+            netctl.compute_gramian(sysr, 90, with_w=False).target,
+            block,
+            explicit_inverse(block),
+        ):
+            a = m.array
+            assert a.tobytes() == np.ascontiguousarray(a.T).tobytes()
+            assert not a.flags.writeable
+
     def test_array_is_read_only(self):
         s = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
