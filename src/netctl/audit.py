@@ -211,21 +211,6 @@ def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     return AuditReport(checks=(check,))
 
 
-def _markov_min(system: ConsensusSystem, kf: int) -> float:
-    """Least entry of the Markov blocks C A^k B, k < kf: of the kept blocks, or else
-    a running minimum over compute_gramian's own propagation (same bits, no stack).
-    """
-    blocks = system.gramian(kf).memo(("markov", system.targets))
-    if blocks is not None:
-        return float(blocks.min())
-    rows, least = list(system.targets), math.inf
-    x, at = system.B.T.copy(), system.A.T
-    for _ in range(kf):
-        least = min(least, float(x[:, rows].min()))
-        x = x @ at
-    return least
-
-
 def audit_theorem2(
     system: ConsensusSystem, kf: int, samples: int = 100, seed: int = 0
 ) -> AuditReport:
@@ -234,11 +219,13 @@ def audit_theorem2(
     T2.1 the least-secure goal direction is strictly positive and its optimal
          input schedule is entrywise nonnegative.
     T2.2 (two targets) replacing a goal by its entrywise absolute value never
-         raises the goal energy; judged at the goal (1, -1) / sqrt(2).
+         raises the goal energy; judged at the goal (sqrt Q_11, -sqrt Q_22),
+         normalized, with Q the target block.
     T2.3 same monotonicity for projections, any target count, judged at
-         (e_i - e_j) / sqrt(2) on the least off-diagonal entry Q_ij; and the
-         optimal input for a nonnegative projection is entrywise
-         nonnegative, judged on the least Markov-block entry.
+         e_i / sqrt Q_ii - e_j / sqrt Q_jj, normalized, on the pair with the
+         least Q_ij / sqrt(Q_ii Q_jj); and the optimal input for a
+         nonnegative projection is entrywise nonnegative, judged on the least
+         Markov-block entry.
     T2.4 strict security chain: full-network E_min < target E_min < F_min
          (the upper strictness applies to two or more targets; with one
          target E_min and F_min coincide by definition).
@@ -266,23 +253,30 @@ def audit_theorem2(
     if p != 2:
         checks.append(_check("T2.2", REL_SLACK, adequate=False, targets=float(p)))
     else:
-        # |y|^T R |y| - y^T R y = 2 R_12 (|y_1 y_2| - y_1 y_2) is positive for some y iff here
-        y = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        # |y|^T R |y| - y^T R y = 2 R_12 (|y_1 y_2| - y_1 y_2) against the slack's REL_SLACK
+        # y^T R y is largest at y_i ~ R_ii^(-1/2), and R_11 : R_22 = Q_22 : Q_11
+        y = np.sqrt(np.diag(q.array)) * np.array([1.0, -1.0])
+        y /= np.linalg.norm(y)
         goals = np.stack([y, np.abs(y)])
         signed, absolute = np.einsum("ij,ji->i", goals, kernels.solve_spd(q, goals.T))
         excess = float(absolute - signed * (1.0 + REL_SLACK))
         checks.append(_check("T2.2", REL_SLACK, excess <= 0.0, opposite_sign_excess=excess))
 
-    # |a|^T Q |a| >= a^T Q a for every a iff no off-diagonal Q_ij is negative, so
-    # a = (e_i - e_j) / sqrt(2) on the least one breaks it iff any a does (p = 1: a = e_1)
-    i, j = divmod(int(np.argmin(q.array + np.diag(np.full(p, math.inf)))), p)
+    # |a|^T Q |a| >= a^T Q a for every a iff no off-diagonal Q_ij is negative. In the
+    # scaled block D Q D, D = diag(Q)^(-1/2), a = D (e_i - e_j) on its least off-diagonal
+    # entry breaks it, slack included, iff any a on two coordinates does (p = 1: a = e_1)
+    scale = 1.0 / np.sqrt(np.diag(q.array))
+    scaled = q.array * scale
+    scaled *= scale[:, None]
+    np.fill_diagonal(scaled, math.inf)
+    i, j = divmod(int(np.argmin(scaled)), p)
     a = np.zeros(p)
-    a[i], a[j] = 1.0, (-1.0 if p > 1 else 1.0)
+    a[i], a[j] = scale[i], (-scale[j] if p > 1 else scale[j])
     a /= np.linalg.norm(a)
     signed, absolute = (float(v @ q.array @ v) for v in (a, np.abs(a)))
     excess = 1.0 / absolute - (1.0 / signed) * (1.0 + REL_SLACK)
     # the inputs for nonnegative projections are sums of Markov entries with nonnegative weights
-    markov_min = _markov_min(system, kf)
+    markov_min = system.gramian(kf).markov_min
     checks.append(_check(
         "T2.3", REL_SLACK, excess <= 0.0 and markov_min >= -INPUT_TOL,
         opposite_pair_excess=excess, markov_min=markov_min,

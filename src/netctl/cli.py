@@ -146,6 +146,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise DimensionMismatch(
             f"--goal must be a single column of {system.p} entries, got shape {goal.shape}"
         )
+    if goal is not None and not all(map(math.isfinite, goal[:, 0])):
+        raise ValueError("--goal has a non-finite entry")
     report = metrics_mod.metrics_report(system, args.kf)
     payload = report.to_json_dict()
     if not report.controllable:

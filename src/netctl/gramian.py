@@ -15,9 +15,9 @@ panels of b bounds the rounding error by about (b + kf/b) u against kf u for
 adding one term at a time, which b = 64 keeps small up to kf of a few
 thousand; much wider panels lose digits again. The same pass yields what
 the target metrics read: W's diagonal (from the diagonal blocks' products),
-the target block (the same sums over the panels' target columns) and the
-target rows C A^k B, the Markov blocks of the optimal input schedules. W
-itself is formed only when a caller asks for it.
+the target block (the same sums over the panels' target columns), the
+target rows C A^k B, the Markov blocks of the optimal input schedules, and
+their least entry. W itself is formed only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ class GramianBundle:
     """One pass over a horizon: the parts of the Gramian that metrics and audits read.
 
     diag is W's diagonal (read-only), target the principal block on the
-    target nodes `targets`, and W the whole Gramian, or None when the build
-    was not asked for it; when every node is a target, target is W. The
-    bundle holds arrays only, so dropping it frees them at once.
+    target nodes `targets`, W the whole Gramian or None when the build was
+    not asked for it (when every node is a target, target is W), markov_min
+    the least entry of the Markov blocks C A^k B, k < kf. The bundle holds
+    arrays only, so dropping it frees them at once.
 
     Principal blocks (with their eigenpairs and factors) and block inverses
     are kept on first use, and the target Markov blocks from the Gramian's
@@ -135,6 +136,7 @@ class GramianBundle:
     diag: np.ndarray
     targets: tuple
     target: SymMatrix
+    markov_min: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, make=None, *args):
@@ -173,10 +175,10 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     products to diag W; the same sums over the panel's target columns give
     the target block. The upper triangles are mirrored once at the end.
     With with_w=False the blocks off W's diagonal are never formed, nor is
-    W, unless every node is a target (then the target block is W). When the
-    bundle keeps arrays of kf * p * m entries, the target rows of the panels
-    also give the Markov blocks C A^k B, kept under ("markov", targets) as
-    one (kf, p, m) array.
+    W, unless every node is a target (then the target block is W). The
+    panels' target columns are the Markov blocks C A^k B: their least entry
+    is kept as markov_min and, when the bundle keeps arrays of kf * p * m
+    entries, the blocks under ("markov", targets) as one (kf, p, m) array.
     """
     kf = _check_horizon(kf)
     n, m, p = system.n, system.m, system.p
@@ -191,6 +193,7 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     wt = None if every else np.zeros((p, p))
     x = system.B.T.copy()
     at = system.A.T
+    least = np.inf
     for start in range(0, kf, width):
         steps = min(width, kf - start)
         for j in range(steps):
@@ -202,12 +205,14 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
             _add_lower_gram(wt, flat[:, rows])
         if markov is not None:
             markov[start : start + steps] = panel[:steps, :, rows].transpose(0, 2, 1)
+        # per-node minima first: indexing the panel's target columns would copy them
+        least = min(least, float(panel[:steps].min(axis=(0, 1))[rows].min()))
     del panel, flat  # the mirror and the symmetry check need only block-sized buffers
     whole = None if w is None else _mirrored(w)
     diag.setflags(write=False)
     bundle = GramianBundle(
         kf=kf, W=whole, diag=diag, targets=system.targets,
-        target=whole if every else _mirrored(wt),
+        target=whole if every else _mirrored(wt), markov_min=least,
     )
     if markov is not None:
         bundle.memo(("markov", system.targets), lambda: markov)
@@ -319,10 +324,11 @@ class AsymptoticDecomposition:
 
 def asymptotic_decomposition(system: ConsensusSystem, node_ids, kf: int) -> AsymptoticDecomposition:
     """Decompose the Gramian block on node_ids at horizon kf."""
+    # solved before the Gramian, so its n x n system never meets W
+    w = system.perron()
     bundle = system.gramian(kf)
     kf = bundle.kf
     q = gramian_submatrix(bundle, node_ids).array
-    w = system.perron()
     weight = float(np.sum(w[list(system.sources)] ** 2))
     coeff = kf * weight
     h = q - coeff * np.ones_like(q)

@@ -28,7 +28,7 @@ from netctl import (
 )
 from netctl import DegenerateProjection, gramian, kernels, metrics, projection_energy
 from netctl import target_control_energy
-from netctl.audit import NEG_SCALE
+from netctl.audit import NEG_SCALE, REL_SLACK
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,28 @@ def assert_cutset_bounds_samples(system, kf, cut, samples, seed):
         assert least <= energy * (1.0 + ROUNDING)
 
 
+# weight ratios of the two-coordinate points that test the slacked claims
+TAN_GRID = np.logspace(-6.0, 6.0, 241)
+
+
+def two_coordinate_point(p, i, j, t):
+    point = np.zeros(p)
+    point[i], point[j] = 1.0, -t
+    return point / np.linalg.norm(point)
+
+
+def goal_excess(q, i, j, t):
+    """T2.2's slacked excess |y|^T R |y| - (1 + REL_SLACK) y^T R y at y ~ e_i - t e_j."""
+    r, y = np.linalg.inv(q), two_coordinate_point(len(q), i, j, t)
+    return np.abs(y) @ r @ np.abs(y) - (1.0 + REL_SLACK) * (y @ r @ y)
+
+
+def projection_excess(q, i, j, t):
+    """T2.3's slacked excess of projection energies at a ~ e_i - t e_j."""
+    a = two_coordinate_point(len(q), i, j, t)
+    return 1.0 / (np.abs(a) @ q @ np.abs(a)) - (1.0 + REL_SLACK) / (a @ q @ a)
+
+
 class TestSampledChecksMatchLoops:
     """The exact checks against the per-sample loops of the single-goal API."""
 
@@ -276,6 +298,36 @@ class TestSampledChecksMatchLoops:
             assert broken == expected
             assert not any(checks[cid].holds for cid in broken)
 
+    def test_slack_is_beaten_off_the_equal_weight_point(self, monkeypatch):
+        """Blocks whose violation clears the 1e-9 slack only at unequal weights.
+
+        With p = 2, Q_12 / sqrt(Q_11 Q_22) = -1e-8 breaks T2.2 and T2.3, but
+        at (1, -1) / sqrt(2) the excess is 2e-12 of the form, under the slack.
+        With p = 3, Q_13 is the least entry yet lies under the slack, while
+        Q_12 on the smaller diagonals breaks it.
+        """
+        sysr, kf = sampled_system(0)
+        three = ConsensusSystem(sysr.graph, sysr.sources, range(3))
+        kf3 = min_positive_horizon(three, three.targets)
+        cases = [
+            (sysr, kf, [[1.0, -1e-4], [-1e-4, 1e8]], ["T2.2", "T2.3"]),
+            (three, kf3, [[1.0, -1e-8, -1e-6], [-1e-8, 1.0, 0.0], [-1e-6, 0.0, 1e8]], ["T2.3"]),
+        ]
+        for system, horizon, block, expected in cases:
+            fake = kernels.SymMatrix(np.array(block))
+            monkeypatch.setattr(metrics, "target_gramian", lambda system, kf: fake)
+            checks = by_id(audit_theorem2(system, horizon))
+            assert sorted(c for c in ("T2.2", "T2.3") if not checks[c].holds) == expected
+            # a grid of two-coordinate points breaks each slacked claim the audit fails,
+            # and the least Q_ij at equal weights would not
+            q = fake.array
+            pairs = [(i, j) for i in range(len(q)) for j in range(len(q)) if i != j]
+            least = min(pairs, key=lambda pair: q[pair])
+            for cid, excess in (("T2.2", goal_excess), ("T2.3", projection_excess)):
+                if cid in expected:
+                    assert max(excess(q, i, j, t) for i, j in pairs for t in TAN_GRID) > 0.0
+                    assert excess(q, *least, 1.0) <= 0.0
+
     def test_samples_and_seed_are_ignored(self, sys2, chain):
         """Any count and seed give the default report, witnesses finite and no samples key."""
         for run in (
@@ -289,12 +341,19 @@ class TestSampledChecksMatchLoops:
                 assert all(math.isfinite(v) for v in check.witness.values()), check.id
 
     def test_declined_markov_blocks_give_the_same_minimum(self, sys2, monkeypatch):
-        """T2.3 reads the kept blocks or a running minimum, bit for bit the same."""
+        """T2.3 reads the build's least Markov-block entry, bit for bit the same when
+        the build keeps no blocks."""
         # on sys2 only the k = 0 block, C B = 0, has a zero entry
         systems = [sampled_system(key) for key in range(10)]
         systems.append((ConsensusSystem(sys2.graph, [0], [1]), 3))
         kept = [by_id(audit_theorem2(system, kf))["T2.3"] for system, kf in systems]
         assert kept[-1].witness["markov_min"] == 0.0
+        for (system, kf), check in zip(systems, kept):
+            x, least = system.B, math.inf
+            for _ in range(kf):
+                least = min(least, float((system.C @ x).min()))
+                x = system.A @ x
+            assert check.witness["markov_min"] == pytest.approx(least, rel=1e-12)
         monkeypatch.setattr(gramian, "_kept", lambda entries, n: False)
         for (system, kf), check in zip(systems, kept):
             fresh = ConsensusSystem(system.graph, system.sources, system.targets)
@@ -404,7 +463,6 @@ class TestAsymptotics:
                 tracemalloc.stop()
 
         build = peak(lambda: compute_gramian(sysr, 200))
-        sysr.perron()  # as the CLI does first: its solve's n x n temporaries are no Gramian
         audit = peak(lambda: audit_asymptotics(sysr, sysr.targets, [50, 100, 200]))
         assert audit < 1.15 * build
 

@@ -223,19 +223,22 @@ class TestMetrics:
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_goal_exits_2(self, tmp_path, capsys, entry):
+        """Also where the targets are not controllable (kf = 1): no report is written."""
         net = write_two_node(tmp_path)
         goal = tmp_path / "goal.csv"
         goal.write_text(f"1\n{entry}\n")
-        u_path = tmp_path / "u.csv"
-        code, out, err = run(
-            capsys,
-            "metrics", "--net", net, "--kf", "2",
-            "--goal", str(goal), "--input-out", str(u_path),
-        )
-        assert code == 2
-        assert "non-finite" in err
-        assert out == ""
-        assert not u_path.exists()
+        u_path, report = tmp_path / "u.csv", tmp_path / "report.json"
+        for kf in ("2", "1"):
+            code, out, err = run(
+                capsys,
+                "metrics", "--net", net, "--kf", kf,
+                "--goal", str(goal), "--input-out", str(u_path), "--out", str(report),
+            )
+            assert code == 2
+            assert "non-finite" in err
+            assert out == ""
+            assert not u_path.exists()
+            assert not report.exists()
 
     @pytest.mark.parametrize("kf", ["200", "1"])
     @pytest.mark.parametrize(
