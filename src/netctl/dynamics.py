@@ -91,9 +91,10 @@ def verify_optimal_input(system: ConsensusSystem, kf: int, ybar) -> Verification
 
     goal_error is the relative gap between the simulated target outputs at kf
     and ybar; energy_error compares the schedule's energy with the
-    target-control energy computed directly from the same Gramian. Only the
-    current state is kept while stepping; C selects the targets, so their
-    entries of the final state are the outputs at kf.
+    target-control energy |U^-T ybar|^2 computed directly from the same
+    target factor U (metrics: both within about sqrt(cond(Q)) u of the exact
+    energy). Only the current state is kept while stepping; C selects the
+    targets, so their entries of the final state are the outputs at kf.
     """
     y = np.asarray(ybar, dtype=float).reshape(-1)
     seq = optimal_target_input(system, kf, y)

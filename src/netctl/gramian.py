@@ -18,6 +18,11 @@ the target metrics read: W's diagonal (from the diagonal blocks' products),
 the target block (the same sums over the panels' target columns), the
 target rows C A^k B, the Markov blocks of the optimal input schedules, and
 their least entry. W itself is formed only when a caller asks for it.
+
+target_factor gives the target energies their factor: the R of a thin QR of
+the stacked target Markov rows, U with U^T U = Q, the target block. A
+solve through U loses about sqrt(cond(Q)) u where one through Q's own
+Cholesky factor loses about cond(Q) u.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotErgodic
 from .kernels import SymMatrix
-from .netgraph import WeightedDigraph, ergodicity, node_set
+from .netgraph import WeightedDigraph, _whole, ergodicity, node_set
 
 # Horizon steps per panel of compute_gramian: one product P P^T per panel.
 PANEL_STEPS = 64
 # Side of the square blocks of W that compute_gramian updates in place.
 GRAM_BLOCK = 64
+# Least count of Markov rows that _folded_factor adds to the factor per QR.
+FOLD_ROWS = 32
 
 
 class ConsensusSystem:
@@ -128,7 +135,7 @@ class GramianBundle:
     are kept on first use, and the target Markov blocks from the Gramian's
     own build, unless they are as large as W: W's eigenvectors alone would
     take 8 MB at n = 1000, so an n x n block is made afresh on each use
-    instead.
+    instead. The target factor of target_factor is kept whatever its size.
     """
 
     kf: int
@@ -159,7 +166,9 @@ def _kept(entries: int, n: int) -> bool:
 
 
 def _check_horizon(kf) -> int:
-    kf = int(kf)
+    if isinstance(kf, (bool, np.bool_)):  # _whole reads a bool as 0 or 1
+        raise ValueError(f"horizon must be an integer, got {kf!r}")
+    kf = _whole(kf, "horizon")
     if kf < 1:
         raise ValueError(f"horizon must be at least 1, got {kf}")
     return kf
@@ -265,6 +274,78 @@ def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
     if bundle.W is None:
         raise ValueError("the bundle was built without W; ask system.gramian(kf) for it")
     return bundle.memo(("block", ids), bundle.W.submatrix, ids)
+
+
+def target_factor(system: ConsensusSystem, kf: int) -> np.ndarray:
+    """U: the p x p upper-triangular factor of the target block at kf, kept by its bundle.
+
+    U is the R of a thin QR of M^T, where M = [C A^(kf-1) B, ..., C B]
+    holds the target Markov rows, with its diagonal made nonnegative, so
+    U^T U = M M^T = Q to rounding. From one QR of the Markov blocks when the
+    build kept them, else by _folded_factor; made on first use (the bundle
+    is built without W if none is kept) and returned read-only. Callers
+    have found Q nonsingular first, so M has at least p columns.
+    """
+    bundle = system.gramian(kf, with_w=False)
+    u = bundle.memo("factor")
+    if u is None:
+        blocks = bundle.memo(("markov", system.targets))
+        if blocks is None:
+            u = _folded_factor(system, bundle.kf)
+        else:
+            # a view when m = 1
+            u = _upper_factor(blocks.transpose(0, 2, 1).reshape(-1, system.p))
+        u.setflags(write=False)
+        bundle._memo["factor"] = u  # not through memo: kept even when as large as W
+    return u
+
+
+def _folded_factor(system: ConsensusSystem, kf: int) -> np.ndarray:
+    """target_factor's U with no (kf, p, m) stack of Markov blocks.
+
+    Propagates X_k^T = B^T (A^T)^k as compute_gramian does, into a panel of
+    at most PANEL_STEPS steps whose rows fit the stack below the factor,
+    and copies the panel's target columns, the rows (C A^k B)^T, into one
+    stack of p + max(FOLD_ROWS, p // 2) rows. A full stack is replaced by
+    the R of its QR, which is the factor of every row so far. So no array
+    is larger than the build's panel or the stack: at p = n, the stack, its
+    copy inside np.linalg.qr and the new factor take 4n^2 floats, not 5n^2
+    as a 2p-row stack would.
+    """
+    n, m, p = system.n, system.m, system.p
+    cols = list(system.targets)
+    stack = np.zeros((p + max(FOLD_ROWS, p // 2), p))
+    filled = p  # the first p rows hold the factor of the rows folded so far
+    width = min(PANEL_STEPS, kf, max(1, (len(stack) - p) // m))
+    panel = np.empty((width, m, n))
+    panel[0] = system.B.T
+    at = system.A.T
+    for start in range(0, kf, width):
+        steps = min(width, kf - start)
+        if start:
+            panel[0] = panel[width - 1] @ at
+        for j in range(1, steps):
+            np.matmul(panel[j - 1], at, out=panel[j])
+        rows = panel[:steps].reshape(steps * m, n)
+        done = 0
+        while done < len(rows):
+            take = min(len(rows) - done, len(stack) - filled)
+            # mode="clip" writes straight into the stack; the indices are all valid
+            np.take(rows[done : done + take], cols, axis=1, out=stack[filled : filled + take],
+                    mode="clip")
+            done, filled = done + take, filled + take
+            if filled == len(stack):
+                stack[:p] = _upper_factor(stack)
+                filled = p
+    # a full stack was just folded: its first p rows are the factor
+    return stack[:p].copy() if filled == p else _upper_factor(stack[:filled])
+
+
+def _upper_factor(rows: np.ndarray) -> np.ndarray:
+    """R of a thin QR of rows (at least as many as columns), rows scaled to a nonnegative diagonal."""
+    r = np.linalg.qr(rows, mode="r")
+    r *= np.where(r.diagonal() < 0.0, -1.0, 1.0)[:, None]
+    return r
 
 
 def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:

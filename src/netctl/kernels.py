@@ -2,10 +2,11 @@
 
 Everything here operates on small dense float64 matrices and needs numpy
 only. Eigensolves and the Cholesky factorization are delegated to LAPACK
-through numpy.linalg; the triangular solves behind solve_spd and
-explicit_inverse are blocked substitutions whose off-diagonal updates are
-matrix products. The wrappers pin down ordering, sign conventions and
-failure behavior so callers get deterministic, checkable results.
+through numpy.linalg; solve_triangular, behind solve_spd, explicit_inverse
+and the target energies' solves with their QR factor, is a blocked
+substitution whose off-diagonal updates are matrix products. The wrappers
+pin down ordering, sign conventions and failure behavior so callers get
+deterministic, checkable results.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ LANCZOS_CYCLES = 100
 class SymMatrix:
     """Symmetric float64 matrix. Storage is symmetrized once on construction.
 
-    Construction from outside data rejects inputs whose asymmetry exceeds
-    SYMMETRY_TOL relative to the largest entry magnitude. The matrix is
-    immutable, so its eigenvalues, eigendecomposition and Cholesky factor are
-    computed on first use and kept.
+    Construction from outside data rejects a non-finite entry and inputs
+    whose asymmetry exceeds SYMMETRY_TOL relative to the largest entry
+    magnitude. The matrix is immutable, so its eigenvalues,
+    eigendecomposition and Cholesky factor are computed on first use and
+    kept.
     """
 
     __slots__ = ("_a", "_values", "_eig", "_cho")
@@ -44,6 +46,8 @@ class SymMatrix:
         a = np.array(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
         scale = max(1.0, float(-a.min()), float(a.max())) if a.size else 1.0
         skew = _symmetrize_in_place(a)
         if skew > SYMMETRY_TOL * scale:
@@ -247,7 +251,7 @@ def spd_check(m) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     """x with t x = b for a lower (or upper) triangular t, by substitution.
 
     Blocks of order SUBSTITUTION_BLOCK or less go row by row; a larger
@@ -258,11 +262,11 @@ def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     if k > SUBSTITUTION_BLOCK:
         h = k // 2
         if lower:
-            top = _solve_triangular(t[:h, :h], b[:h], True)
-            bottom = _solve_triangular(t[h:, h:], b[h:] - t[h:, :h] @ top, True)
+            top = solve_triangular(t[:h, :h], b[:h], True)
+            bottom = solve_triangular(t[h:, h:], b[h:] - t[h:, :h] @ top, True)
         else:
-            bottom = _solve_triangular(t[h:, h:], b[h:], False)
-            top = _solve_triangular(t[:h, :h], b[:h] - t[:h, h:] @ bottom, False)
+            bottom = solve_triangular(t[h:, h:], b[h:], False)
+            top = solve_triangular(t[:h, :h], b[:h] - t[:h, h:] @ bottom, False)
         return np.concatenate([top, bottom])
     x = np.empty_like(b)
     for i in range(k) if lower else range(k - 1, -1, -1):
@@ -273,7 +277,7 @@ def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 
 def _cholesky_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L L^T x = b: forward substitution with L, back substitution with L^T."""
-    return _solve_triangular(l.T, _solve_triangular(l, b, True), False)
+    return solve_triangular(l.T, solve_triangular(l, b, True), False)
 
 
 def solve_spd(m, b) -> np.ndarray:

@@ -17,7 +17,7 @@ from netctl import (
     min_positive_horizon,
     optimal_target_input,
     random_geometric,
-    solve_spd,
+    target_control_energy,
     verify_optimal_input,
 )
 from netctl import metrics
@@ -55,6 +55,25 @@ class TestComputeGramian:
     def test_horizon_validation(self, sys2):
         with pytest.raises(ValueError):
             compute_gramian(sys2, 0)
+
+    @pytest.mark.parametrize("kf", [40.7, 1.5, True, np.True_, float("nan"), float("inf"), "3"])
+    def test_non_whole_horizon_rejected(self, kf):
+        """A horizon is a whole number: nothing truncates 40.7 to 40 or reads True as 1."""
+        sysr = support.two_node_system()
+        for call in (
+            lambda: sysr.gramian(kf),
+            lambda: compute_gramian(sysr, kf),
+            lambda: target_control_energy(sysr, kf, [1.0, 2.0]),
+        ):
+            with pytest.raises(ValueError, match="horizon must be an integer"):
+                call()
+
+    def test_whole_float_horizon_accepted(self):
+        sysr = support.two_node_system()
+        assert sysr.gramian(40.0).kf == 40
+        assert target_control_energy(sysr, 40.0, [1.0, 2.0]) == target_control_energy(
+            support.two_node_system(), 40, [1.0, 2.0]
+        )
 
     def test_incremental_consistency(self, chain):
         """W(kf+1) - W(kf) is the kf-th impulse outer product."""
@@ -246,8 +265,11 @@ class TestMarkovBlocks:
         goal = np.linspace(1.0, 2.0, 8)
         seq = optimal_target_input(sysr, kf, goal)
         assert len(calls) == 1
-        v = solve_spd(sysr.gramian(kf).W, goal)
-        expected = np.array([blk.T @ v for blk in _markov_oracle(sysr, kf)[::-1]])
+        blocks = _markov_oracle(sysr, kf)
+        # v = Q^-1 goal through the R of a QR of the oracle's own Markov rows
+        r = np.linalg.qr(blocks.transpose(0, 2, 1).reshape(-1, sysr.p), mode="r")
+        v = np.linalg.solve(r, np.linalg.solve(r.T, goal))
+        expected = np.array([blk.T @ v for blk in blocks[::-1]])
         # each step sums block entries times v, so roundoff scales with |v|_1
         assert np.max(np.abs(seq.u - expected)) <= 1e-13 * np.abs(v).sum()
         optimal_target_input(sysr, kf, goal)

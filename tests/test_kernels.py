@@ -1,5 +1,6 @@
 """Numerical kernel tests: eigendecomposition, SPD solves, CSV round trips."""
 
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,17 @@ class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SymMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        """A nan or inf entry raises on construction; _adopt stays unchecked."""
+        for where in ((0, 0), (0, 1)):
+            a = np.eye(2)
+            a[where] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                SymMatrix(a)
+        adopted = SymMatrix._adopt(np.full((2, 2), bad))
+        assert adopted.array.shape == (2, 2)
 
     def test_symmetrizes_roundoff(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])

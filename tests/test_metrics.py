@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from netctl import (
     DimensionMismatch,
     NodeUnreachable,
     NotControllable,
-    WeightedDigraph,
     audit_corollary1,
     audit_cutset,
     audit_theorem1,
@@ -31,6 +31,7 @@ from netctl import (
     optimal_target_input,
     projection_energy,
     projection_security,
+    random_geometric,
     simulate,
     target_control_energy,
     target_controllable,
@@ -257,11 +258,7 @@ class TestNodeEnergies:
         On a 20-node averaging path the far end's W_ll is 1.7e-18 at kf = 20.
         """
         n = 20
-        edges = []
-        for i in range(n):
-            hood = [j for j in (i - 1, i, i + 1) if 0 <= j < n]
-            edges += [(j, i, 1.0 / len(hood)) for j in hood]
-        system = ConsensusSystem(WeightedDigraph(n, edges), [0], [n - 1])
+        system = ConsensusSystem(support.averaging_path(n), [0], [n - 1])
         w_ll = support.naive_gramian(system.A, system.B, kf)[n - 1, n - 1]
         assert 0.0 < w_ll < 1e-14
         assert node_energies(system, kf)[n - 1] == pytest.approx(1.0 / w_ll, rel=1e-12)
@@ -369,3 +366,81 @@ class TestBundleHorizon:
         assert pickle.dumps(self.CALLS[name](sys2)) == result
         assert builds == [5]
         assert pickle.dumps(self.CALLS[name](support.two_node_system())) == result
+
+
+class TestFactorEnergies:
+    """Energies and optimal inputs read the QR factor U of the target Markov rows."""
+
+    @pytest.mark.parametrize("route", ["kept", "folded"])
+    def test_exact_energies_on_averaging_paths(self, route, monkeypatch):
+        """Far targets on a path near k*: cond(Q) 3e4 to 5e7, energies within 1e-14.
+
+        A solve with Q's own Cholesky factor was off by up to 1.4e-11 here.
+        """
+        if route == "folded":
+            monkeypatch.setattr(gramian, "_kept", lambda entries, n: False)
+        for n, p in itertools.product((10, 11, 12), (3, 4, 5)):
+            graph = support.averaging_path(n)
+            targets = range(n - p, n)
+            kstar = gramian.min_positive_horizon(ConsensusSystem(graph, [0], targets), targets)
+            goal = np.linspace(1.0, 2.0, p) * np.resize([1.0, -1.0], p)
+            for kf in (kstar, kstar + 2, kstar + 5):
+                system = ConsensusSystem(graph, [0], targets)
+                exact = support.exact_energy(system, kf, goal)
+                energy = target_control_energy(system, kf, goal)
+                schedule = optimal_target_input(system, kf, goal).energy
+                blocks = system.gramian(kf, with_w=False).memo(("markov", system.targets))
+                assert (route == "kept") == (blocks is not None)
+                for value in (energy, schedule):
+                    err = float(abs(Fraction(value) - exact) / exact)
+                    assert err <= 1e-14, (n, p, kf, err)
+
+    def test_energy_matches_50_digits_at_n_1000(self):
+        """The benchmark's n = kf = 1000 network (cond(Q) = 2.9e7): within 1e-13."""
+        mpmath = pytest.importorskip("mpmath")
+        graph = random_geometric(1000, 0.08, 7)
+        system = ConsensusSystem(graph, [0], [18, 49, 93, 117])  # its four farthest nodes
+        kf = 1000
+        goal = np.array([0.3, -1.2, 0.8, 2.0])
+        energy = target_control_energy(system, kf, goal)
+        rows = system.gramian(kf, with_w=False).memo(("markov", system.targets))[:, :, 0].T
+        with mpmath.workdps(50):
+            m = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in rows])
+            y = mpmath.matrix([mpmath.mpf(float(v)) for v in goal])
+            exact = (y.T * mpmath.lu_solve(m * m.T, y))[0]
+            assert abs(mpmath.mpf(energy) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("key", range(7))
+    def test_kept_and_folded_factors_agree(self, key, monkeypatch):
+        """U from one QR of the kept blocks equals U folded from a fresh propagation.
+
+        Keys 3 and 4 fold more rows than one stack holds, over several
+        panels; keys 5 and 6 make every node a source, so one step's rows
+        are split between two folds.
+        """
+        if key < 5:
+            base = support.random_ergodic_system(
+                [88, key], 6, 40, num_sources=1 + key % 3, num_targets=2 + key % 3
+            )
+            sources, targets = base.sources, base.targets
+            kf = gramian.min_positive_horizon(base, targets) + 10 * key + 3
+        else:
+            base = support.random_ergodic_system([88, key + 1], 40, 40)
+            sources, targets, kf = range(40), range(40), 3 + key
+        factors = []
+        for kept in (True, False):
+            monkeypatch.setattr(gramian, "_kept", lambda entries, n, kept=kept: kept)
+            system = ConsensusSystem(base.graph, sources, targets)
+            u = gramian.target_factor(system, kf)
+            blocks = system.gramian(kf, with_w=False).memo(("markov", system.targets))
+            assert (blocks is not None) == kept
+            assert gramian.target_factor(system, kf) is u
+            factors.append(u)
+        q = system.gramian(kf, with_w=False).target
+        for u in factors:
+            assert u.shape == (system.p, system.p) and not u.flags.writeable
+            assert np.array_equal(u, np.triu(u)) and (u.diagonal() >= 0.0).all()
+            assert np.max(np.abs(u.T @ u - q.array)) <= 1e-13 * np.max(np.abs(q.array))
+        assert q.spd  # so a factor with a positive diagonal is unique
+        kept_u, folded_u = factors
+        assert np.max(np.abs(kept_u - folded_u)) <= 1e-12 * np.max(np.abs(kept_u))
