@@ -21,6 +21,7 @@ from .errors import NotACutset
 from .gramian import (
     ConsensusSystem,
     asymptotic_decomposition,
+    block_factor,
     gramian_submatrix,
     min_positive_horizon,
 )
@@ -101,14 +102,15 @@ def _block(system: ConsensusSystem, node_ids, kf: int):
     return ids, kstar, kf >= kstar, bundle, gramian_submatrix(bundle, ids)
 
 
-def _inverse_signs(bundle, ids):
+def _inverse_signs(system: ConsensusSystem, bundle, ids):
     """R, max|R| and the threshold -NEG_SCALE * max|R| for the block on ids.
 
-    R is the block's inverse, kept per bundle; an entry of R below the
-    threshold counts as negative.
+    R is the block's inverse U^-1 U^-T from its factor U (gramian.block_factor),
+    kept per bundle; an entry of R below the threshold counts as negative.
     """
-    block = gramian_submatrix(bundle, ids)
-    r = bundle.memo(("inverse", ids), kernels.explicit_inverse, block)
+    r = bundle.memo(
+        ("inverse", ids), lambda: kernels.inverse_from_factor(block_factor(system, ids, bundle.kf))
+    )
     scale = float(np.max(np.abs(r.array)))
     return r, scale, -NEG_SCALE * scale
 
@@ -131,7 +133,7 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
     """
     ids, kstar, adequate, bundle, q = _block(system, node_ids, kf)
     size = q.order
-    eig_q = q.eig
+    eig_q = kernels.sym_eig(q)  # not q.eig: when q is W, W would keep n^2 eigenvector entries
     lam_min, lam_max = eig_q.lambda_min, eig_q.lambda_max
     lam_w = float(bundle.W.values[-1])
     min_entry = float(q.array.min())
@@ -162,7 +164,8 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
         ]
         return AuditReport(checks=tuple(checks))
 
-    r, r_scale, neg_thresh = _inverse_signs(bundle, ids)
+    del q, eig_q  # freed before the inverse, unless the bundle keeps the block
+    r, r_scale, neg_thresh = _inverse_signs(system, bundle, ids)
     ra = r.array
     eig_r_min = float(r.values[0])
     # irreducible: the entries with |R_ij| > NEG_SCALE * scale connect every node
@@ -202,7 +205,7 @@ def audit_corollary1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
             lambda_min=float(q.values[0]), invertible=float(q.spd), kstar=float(kstar),
         )
         return AuditReport(checks=(check,))
-    r, _, thresh = _inverse_signs(bundle, ids)
+    r, _, thresh = _inverse_signs(system, bundle, ids)
     # an edge {i, j} for each entry below the threshold
     check = _check(
         "C1", NEG_SCALE, kernels.spanning_bottleneck(r.array) < thresh,
@@ -257,8 +260,7 @@ def audit_theorem2(
         # y^T R y is largest at y_i ~ R_ii^(-1/2), and R_11 : R_22 = Q_22 : Q_11
         y = np.sqrt(np.diag(q.array)) * np.array([1.0, -1.0])
         y /= np.linalg.norm(y)
-        goals = np.stack([y, np.abs(y)])
-        signed, absolute = np.einsum("ij,ji->i", goals, kernels.solve_spd(q, goals.T))
+        signed, absolute = (metrics.target_control_energy(system, kf, g) for g in (y, np.abs(y)))
         excess = float(absolute - signed * (1.0 + REL_SLACK))
         checks.append(_check("T2.2", REL_SLACK, excess <= 0.0, opposite_sign_excess=excess))
 

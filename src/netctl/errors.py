@@ -36,16 +36,6 @@ class ConvergenceFailure(NetctlError):
     """An iterative numerical routine exceeded its iteration cap."""
 
 
-class NotPositiveDefinite(NetctlError):
-    """A matrix required to be positive definite is not."""
-
-    def __init__(self, lambda_min: float):
-        super().__init__(
-            f"matrix is not positive definite (lambda_min estimate {lambda_min:.6e})"
-        )
-        self.lambda_min = lambda_min
-
-
 class NotControllable(NetctlError):
     """The target Gramian block is singular at the requested horizon."""
 

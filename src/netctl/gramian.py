@@ -19,10 +19,10 @@ the target block (the same sums over the panels' target columns), the
 target rows C A^k B, the Markov blocks of the optimal input schedules, and
 their least entry. W itself is formed only when a caller asks for it.
 
-target_factor gives the target energies their factor: the R of a thin QR of
-the stacked target Markov rows, U with U^T U = Q, the target block. A
-solve through U loses about sqrt(cond(Q)) u where one through Q's own
-Cholesky factor loses about cond(Q) u.
+block_factor gives each Gramian block the one factor that every solve with
+it and every inverse of it reads: the R of a thin QR of the block's
+stacked Markov rows, U with U^T U = Q. A solve through U loses about
+sqrt(cond(Q)) u where one with Q itself loses about cond(Q) u.
 """
 
 from __future__ import annotations
@@ -131,11 +131,11 @@ class GramianBundle:
     the least entry of the Markov blocks C A^k B, k < kf. The bundle holds
     arrays only, so dropping it frees them at once.
 
-    Principal blocks (with their eigenpairs and factors) and block inverses
-    are kept on first use, and the target Markov blocks from the Gramian's
+    Principal blocks (with their eigenpairs) and block inverses are kept
+    on first use, and the target Markov blocks from the Gramian's
     own build, unless they are as large as W: W's eigenvectors alone would
     take 8 MB at n = 1000, so an n x n block is made afresh on each use
-    instead. The target factor of target_factor is kept whatever its size.
+    instead. The factors of block_factor are kept whatever their size.
     """
 
     kf: int
@@ -166,8 +166,6 @@ def _kept(entries: int, n: int) -> bool:
 
 
 def _check_horizon(kf) -> int:
-    if isinstance(kf, (bool, np.bool_)):  # _whole reads a bool as 0 or 1
-        raise ValueError(f"horizon must be an integer, got {kf!r}")
     kf = _whole(kf, "horizon")
     if kf < 1:
         raise ValueError(f"horizon must be at least 1, got {kf}")
@@ -276,44 +274,48 @@ def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
     return bundle.memo(("block", ids), bundle.W.submatrix, ids)
 
 
-def target_factor(system: ConsensusSystem, kf: int) -> np.ndarray:
-    """U: the p x p upper-triangular factor of the target block at kf, kept by its bundle.
+def block_factor(system: ConsensusSystem, node_ids, kf: int) -> np.ndarray:
+    """U: the upper-triangular factor of the Gramian block on node_ids at kf, kept by its bundle.
 
-    U is the R of a thin QR of M^T, where M = [C A^(kf-1) B, ..., C B]
-    holds the target Markov rows, with its diagonal made nonnegative, so
-    U^T U = M M^T = Q to rounding. From one QR of the Markov blocks when the
-    build kept them, else by _folded_factor; made on first use (the bundle
-    is built without W if none is kept) and returned read-only. Callers
-    have found Q nonsingular first, so M has at least p columns.
+    U is the R of a thin QR of M^T, where M = [S A^(kf-1) B, ..., S B] holds
+    the block's Markov rows (S the 0-1 row selector of the nodes), with its
+    diagonal made nonnegative, so U^T U = M M^T, the block, to rounding.
+    From one QR of the Markov blocks when the build kept them (the targets
+    only), else by _folded_factor; made on first use (the bundle is built
+    without W if none is kept), kept under ("factor", ids) whatever its
+    size, and returned read-only. Callers have found the block nonsingular
+    first, so M has at least as many columns as there are nodes.
     """
+    ids = node_set(node_ids, system.n)
     bundle = system.gramian(kf, with_w=False)
-    u = bundle.memo("factor")
+    key = ("factor", ids)
+    u = bundle.memo(key)
     if u is None:
-        blocks = bundle.memo(("markov", system.targets))
+        blocks = bundle.memo(("markov", ids))
         if blocks is None:
-            u = _folded_factor(system, bundle.kf)
+            u = _folded_factor(system, ids, bundle.kf)
         else:
             # a view when m = 1
-            u = _upper_factor(blocks.transpose(0, 2, 1).reshape(-1, system.p))
+            u = _upper_factor(blocks.transpose(0, 2, 1).reshape(-1, len(ids)))
         u.setflags(write=False)
-        bundle._memo["factor"] = u  # not through memo: kept even when as large as W
+        bundle._memo[key] = u  # not through memo: kept even when as large as W
     return u
 
 
-def _folded_factor(system: ConsensusSystem, kf: int) -> np.ndarray:
-    """target_factor's U with no (kf, p, m) stack of Markov blocks.
+def _folded_factor(system: ConsensusSystem, ids: tuple, kf: int) -> np.ndarray:
+    """block_factor's U with no (kf, p, m) stack of Markov blocks, for p = len(ids).
 
     Propagates X_k^T = B^T (A^T)^k as compute_gramian does, into a panel of
     at most PANEL_STEPS steps whose rows fit the stack below the factor,
-    and copies the panel's target columns, the rows (C A^k B)^T, into one
+    and copies the panel's columns ids, the rows (S A^k B)^T, into one
     stack of p + max(FOLD_ROWS, p // 2) rows. A full stack is replaced by
     the R of its QR, which is the factor of every row so far. So no array
     is larger than the build's panel or the stack: at p = n, the stack, its
     copy inside np.linalg.qr and the new factor take 4n^2 floats, not 5n^2
     as a 2p-row stack would.
     """
-    n, m, p = system.n, system.m, system.p
-    cols = list(system.targets)
+    n, m, p = system.n, system.m, len(ids)
+    cols = list(ids)
     stack = np.zeros((p + max(FOLD_ROWS, p // 2), p))
     filled = p  # the first p rows hold the factor of the rows folded so far
     width = min(PANEL_STEPS, kf, max(1, (len(stack) - p) // m))

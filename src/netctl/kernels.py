@@ -1,11 +1,11 @@
 """Dense symmetric-matrix primitives with explicit numerical contracts.
 
 Everything here operates on small dense float64 matrices and needs numpy
-only. Eigensolves and the Cholesky factorization are delegated to LAPACK
-through numpy.linalg; solve_triangular, behind solve_spd, explicit_inverse
-and the target energies' solves with their QR factor, is a blocked
-substitution whose off-diagonal updates are matrix products. The wrappers
-pin down ordering, sign conventions and failure behavior so callers get
+only. Eigensolves are delegated to LAPACK through numpy.linalg;
+solve_triangular, behind every solve with and inverse of a Gramian block
+through its QR factor (gramian.block_factor), is a blocked substitution
+whose off-diagonal updates are matrix products. The wrappers pin down
+ordering, sign conventions and failure behavior so callers get
 deterministic, checkable results.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
+from .errors import ConvergenceFailure, DimensionMismatch
 
 # Acceptable asymmetry on construction, relative to max(1, max |entry|).
 SYMMETRY_TOL = 1e-10
@@ -35,12 +35,11 @@ class SymMatrix:
 
     Construction from outside data rejects a non-finite entry and inputs
     whose asymmetry exceeds SYMMETRY_TOL relative to the largest entry
-    magnitude. The matrix is immutable, so its eigenvalues,
-    eigendecomposition and Cholesky factor are computed on first use and
-    kept.
+    magnitude. The matrix is immutable, so its eigenvalues and
+    eigendecomposition are computed on first use and kept.
     """
 
-    __slots__ = ("_a", "_values", "_eig", "_cho")
+    __slots__ = ("_a", "_values", "_eig")
 
     def __init__(self, data):
         a = np.array(data, dtype=float)
@@ -71,7 +70,7 @@ class SymMatrix:
     def _keep(self, a: np.ndarray) -> None:
         a.setflags(write=False)
         self._a = a
-        self._values = self._eig = self._cho = None
+        self._values = self._eig = None
 
     @property
     def order(self) -> int:
@@ -101,15 +100,6 @@ class SymMatrix:
     def spd(self) -> bool:
         """Positive definite: lambda_min > SPD_RTOL * max(lambda_max, 1)."""
         return float(self.values[0]) > SPD_RTOL * max(float(self.values[-1]), 1.0)
-
-    @property
-    def cholesky(self) -> np.ndarray:
-        """Read-only lower Cholesky factor L with L L^T = M, kept; needs spd."""
-        if self._cho is None:
-            spd_check(self)
-            self._cho = np.linalg.cholesky(self._a)
-            self._cho.setflags(write=False)
-        return self._cho
 
     def submatrix(self, ids) -> "SymMatrix":
         """Principal submatrix on the given row/column indices (in order)."""
@@ -239,18 +229,6 @@ def dominant_eigenvector(m) -> np.ndarray:
     )
 
 
-def spd_check(m) -> tuple[float, float]:
-    """Return (lambda_min, lambda_max); raise NotPositiveDefinite if not SPD.
-
-    The test is SymMatrix.spd, on the matrix's cached eigenvalues.
-    """
-    s = _as_sym(m)
-    lo, hi = float(s.values[0]), float(s.values[-1])
-    if not s.spd:
-        raise NotPositiveDefinite(lo)
-    return lo, hi
-
-
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     """x with t x = b for a lower (or upper) triangular t, by substitution.
 
@@ -275,35 +253,13 @@ def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
-def _cholesky_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L^T x = b: forward substitution with L, back substitution with L^T."""
-    return solve_triangular(l.T, solve_triangular(l, b, True), False)
-
-
-def solve_spd(m, b) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M.
-
-    Uses the cached Cholesky factorization plus one step of iterative
-    refinement. Raises NotPositiveDefinite when M fails the SPD test.
-    """
-    s = _as_sym(m)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != s.order:
-        raise DimensionMismatch(
-            f"right-hand side of length {rhs.shape[0]} for order {s.order}"
-        )
-    factor = s.cholesky
-    x = _cholesky_solve(factor, rhs)
-    # One refinement pass keeps the residual near roundoff for the
-    # moderately conditioned matrices this package produces.
-    return x + _cholesky_solve(factor, rhs - s.array @ x)
-
-
-def explicit_inverse(m) -> SymMatrix:
-    """Dense inverse of a symmetric positive definite matrix, symmetrized."""
-    s = _as_sym(m)
-    inv = _cholesky_solve(s.cholesky, np.eye(s.order))
-    return SymMatrix._adopt(0.5 * (inv + inv.T))
+def inverse_from_factor(u: np.ndarray) -> SymMatrix:
+    """(U^T U)^-1 = U^-1 U^-T for an upper-triangular U with a nonzero diagonal, symmetrized."""
+    v = solve_triangular(u, np.eye(u.shape[0]), lower=False)
+    r = v @ v.T
+    del v  # freed before the symmetrization's block buffer
+    _symmetrize_in_place(r)
+    return SymMatrix._adopt(r)
 
 
 def spanning_bottleneck(w) -> float:

@@ -8,11 +8,11 @@ W itself; every other metric reads the bundle's target block, diag W and
 Markov blocks, so it never has W formed.
 
 A goal's energy y^T Q^-1 y and its optimal input come from the target
-factor U of gramian.target_factor, the R of a thin QR of the target Markov
-rows (U^T U = Q): the energy is |U^-T y|^2. That loses about
-sqrt(cond(Q)) u against about cond(Q) u for a Cholesky solve with Q
+block's factor U, gramian.block_factor on the targets, the R of a thin QR
+of the target Markov rows (U^T U = Q): the energy is |U^-T y|^2. That
+loses about sqrt(cond(Q)) u against about cond(Q) u for a solve with Q
 itself. On the benchmark's n = kf = 1000 network (cond(Q) = 2.9e7) the
-energy is within 1.3e-14 of a 50-digit solve, where the Cholesky solve was
+energy is within 1.3e-14 of a 50-digit solve, where a solve with Q was
 off by 2e-9 to 4e-9. Whether the targets are controllable at all is still
 judged on Q's eigenvalues (SymMatrix.spd).
 
@@ -35,7 +35,7 @@ from .errors import (
     NodeUnreachable,
     NotControllable,
 )
-from .gramian import ConsensusSystem, GramianBundle, target_factor
+from .gramian import ConsensusSystem, GramianBundle, block_factor
 from .netgraph import node_set
 
 # A projection is degenerate when its quadratic form is below this times lambda_max.
@@ -133,7 +133,7 @@ def _goal_vector(system: ConsensusSystem, ybar) -> np.ndarray:
 def _whitened(system: ConsensusSystem, kf: int, y: np.ndarray):
     """(U, U^-T y) for the target factor U; raises NotControllable first if Q is singular."""
     _controllable_block(system, kf)
-    u = target_factor(system, kf)
+    u = block_factor(system, system.targets, kf)
     return u, kernels.solve_triangular(u.T, y, lower=True)
 
 

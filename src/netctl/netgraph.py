@@ -30,9 +30,11 @@ Edge = tuple[int, int, float]
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; ValueError unless it is a whole number."""
+    """value as an int; ValueError unless it is a whole number and not a bool."""
+    if type(value) is int:  # what JSON gives: no further test
+        return value
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -532,7 +534,8 @@ def load_network(path) -> tuple[WeightedDigraph, tuple[int, ...], tuple[int, ...
     keys = ("edges", "sources", "targets", "positions")
     if not isinstance(obj, dict) or not all(isinstance(obj.get(k, []), list) for k in keys):
         raise ValueError(f"{path}: edges, sources, targets and positions must be lists")
-    if not all(isinstance(e, list) and len(e) == 3 and isinstance(e[2], (int, float))
+    # exact types: a JSON true or false is a bool, which isinstance counts as an int
+    if not all(isinstance(e, list) and len(e) == 3 and type(e[2]) in (int, float)
                for e in obj["edges"]):
         raise ValueError(f"{path}: every edge must be [from, to, weight]")
     graph = WeightedDigraph(obj["n"], obj["edges"], positions=obj.get("positions"))

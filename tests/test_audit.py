@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import support
 from netctl import (
@@ -187,7 +188,7 @@ def assert_theorem2_bounds_samples(system, kf, samples, seed):
     for cid, (holds, _) in support.per_sample_theorem2(system, kf, samples, seed).items():
         assert holds or not checks[cid].holds, cid
     if system.p == 2:
-        r12 = float(kernels.explicit_inverse(metrics.target_gramian(system, kf)).array[0, 1])
+        r12 = float(scipy.linalg.inv(metrics.target_gramian(system, kf).array)[0, 1])
         for i in range(samples):
             y = support.sample_sphere(seed, 22, i, 2)
             signed = target_control_energy(system, kf, y)
@@ -213,6 +214,13 @@ def assert_cutset_bounds_samples(system, kf, cut, samples, seed):
         except DegenerateProjection:
             energy = math.inf
         assert least <= energy * (1.0 + ROUNDING)
+
+
+def substitute_target_block(monkeypatch, fake):
+    """Make fake the target block that metrics read, with its upper Cholesky factor as U."""
+    factor = scipy.linalg.cholesky(fake.array)
+    monkeypatch.setattr(metrics, "target_gramian", lambda system, kf: fake)
+    monkeypatch.setattr(metrics, "block_factor", lambda system, ids, kf: factor)
 
 
 # weight ratios of the two-coordinate points that test the slacked claims
@@ -287,7 +295,7 @@ class TestSampledChecksMatchLoops:
         ]
         for system, horizon, block, expected in cases:
             fake = kernels.SymMatrix(d * np.array(block))
-            monkeypatch.setattr(metrics, "target_gramian", lambda system, kf: fake)
+            substitute_target_block(monkeypatch, fake)
             monkeypatch.setattr(support, "target_gramian", lambda system, kf: fake)
             sampled = support.per_sample_theorem2(system, horizon, 100, 0)
             checks = by_id(audit_theorem2(system, horizon))
@@ -315,7 +323,7 @@ class TestSampledChecksMatchLoops:
         ]
         for system, horizon, block, expected in cases:
             fake = kernels.SymMatrix(np.array(block))
-            monkeypatch.setattr(metrics, "target_gramian", lambda system, kf: fake)
+            substitute_target_block(monkeypatch, fake)
             checks = by_id(audit_theorem2(system, horizon))
             assert sorted(c for c in ("T2.2", "T2.3") if not checks[c].holds) == expected
             # a grid of two-coordinate points breaks each slacked claim the audit fails,

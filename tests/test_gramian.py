@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import support
 from netctl import (
@@ -11,6 +12,7 @@ from netctl import (
     NotErgodic,
     WeightedDigraph,
     asymptotic_decomposition,
+    audit_theorem1,
     compute_gramian,
     gramian_submatrix,
     left_perron,
@@ -20,7 +22,7 @@ from netctl import (
     target_control_energy,
     verify_optimal_input,
 )
-from netctl import metrics
+from netctl import gramian, kernels, metrics
 
 # Horizons on both sides of one and two panel boundaries (PANEL_STEPS = 64).
 PANEL_HORIZONS = (63, 64, 65, 131)
@@ -290,6 +292,113 @@ class TestMarkovBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * sysr.n**2 * 8
+
+
+def _exact_inverse(system, ids, kf) -> np.ndarray:
+    """The inverse of the block on ids at kf for system's float64 A, from 60-digit sums."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = list(ids)
+    with mpmath.workdps(60):
+        a, x = mpmath.matrix(system.A.tolist()), mpmath.matrix(system.B.tolist())
+        q = mpmath.zeros(len(rows), len(rows))
+        for _ in range(kf):
+            sub = mpmath.matrix([[x[r, c] for c in range(x.cols)] for r in rows])
+            q += sub * sub.T
+            x = a * x
+        return np.array((q**-1).tolist(), dtype=float)
+
+
+def _ladder():
+    """Whole-network blocks, one source, cond(Q) from 1e4 to 1e12.
+
+    Averaging paths a few steps past k*, then sweep_small-style blocks at
+    k* + 20, with the indices of their systems in the seed's corpus.
+    """
+    for n, extra in ((5, 1), (6, 2), (7, 2), (8, 3), (10, 4), (11, 8), (12, 8), (12, 1)):
+        system = ConsensusSystem(support.averaging_path(n), [0], range(n))
+        yield system, min_positive_horizon(system, range(n)) + extra
+    for seed, index in ((0, 9), (0, 5), (1, 3), (0, 11), (0, 6)):
+        base, _ = support.sweep_small_systems(seed, index + 1)[index]
+        system = ConsensusSystem(base.graph, base.sources[:1], base.targets)
+        yield system, min_positive_horizon(system, range(system.n)) + 20
+
+
+def _off_target_cases():
+    """(system, node set, kf): a set that is not the targets, and the whole network."""
+    base = support.random_ergodic_system([91, 3], 12, 12, num_sources=3, num_targets=2)
+    rest = [v for v in range(base.n) if v not in base.targets]
+    kf = min_positive_horizon(base, range(base.n)) + 12
+    return [(base, tuple(rest[:5]), kf), (base, tuple(range(base.n)), kf)]
+
+
+class TestBlockFactor:
+    """gramian.block_factor on any node set, and the inverse the audits read from it."""
+
+    def test_inverse_matches_60_digits_on_a_conditioning_ladder(self):
+        """R = U^-1 U^-T is within n sqrt(cond(Q)) u of the exact inverse, entrywise
+        relative to max|R|, and never further off than scipy.linalg.inv(Q).
+
+        n sqrt(cond(Q)) u is the loss of a solve through U; the ladder reads at
+        most 2% of it (cond(Q) = 3e8: 3.2e-13), where inv(Q) is off by 4e-9.
+        """
+        conds = []
+        for system, kf in _ladder():
+            ids = tuple(range(system.n))
+            exact = _exact_inverse(system, ids, kf)
+            scale, cond = np.max(np.abs(exact)), np.linalg.cond(exact)
+            r = kernels.inverse_from_factor(gramian.block_factor(system, ids, kf)).array
+            q = gramian_submatrix(system.gramian(kf), ids).array
+            err = np.max(np.abs(r - exact)) / scale
+            err_q = np.max(np.abs(scipy.linalg.inv(q) - exact)) / scale
+            assert err <= system.n * np.sqrt(cond) * 2.0**-53, (system, kf, cond, err)
+            assert err <= err_q, (system, kf, cond, err, err_q)
+            conds.append(cond)
+        assert 1e4 <= min(conds) < 1e5 and 1e11 < max(conds) < 1e12
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_factor_off_the_targets(self, case, monkeypatch):
+        """U^T U is the block; the same U whether or not the build kept the target
+        blocks; kept by the bundle; and the one-QR route on a system whose
+        targets are the set agrees with the folded one."""
+        base, ids, kf = _off_target_cases()[case]
+        factors = []
+        for kept in (True, False):
+            monkeypatch.setattr(gramian, "_kept", lambda entries, n, kept=kept: kept)
+            system = ConsensusSystem(base.graph, base.sources, base.targets)
+            u = gramian.block_factor(system, ids, kf)
+            assert gramian.block_factor(system, ids, kf) is u
+            assert gramian.block_factor(system, list(reversed(ids)), kf) is u
+            q = gramian_submatrix(system.gramian(kf), ids)
+            assert q.spd
+            assert u.shape == (len(ids), len(ids)) and not u.flags.writeable
+            assert np.array_equal(u, np.triu(u)) and (u.diagonal() >= 0.0).all()
+            assert np.max(np.abs(u.T @ u - q.array)) <= 1e-13 * np.max(np.abs(q.array))
+            factors.append(u)
+        assert np.array_equal(*factors)
+        # kept blocks on a system whose targets are ids: one QR of them
+        monkeypatch.setattr(gramian, "_kept", lambda entries, n: True)
+        own = ConsensusSystem(base.graph, base.sources, ids)
+        one_qr = gramian.block_factor(own, ids, kf)
+        assert own.gramian(kf, with_w=False).memo(("markov", ids)) is not None
+        assert np.max(np.abs(one_qr - factors[0])) <= 1e-12 * np.max(np.abs(one_qr))
+
+    @pytest.mark.parametrize("every_target", [False, True])
+    def test_theorem1_on_every_node_block_memory(self, every_target):
+        """T1 with its inverse on a block of every node: under 6 n^2 floats past the build.
+
+        The block (a copy of W unless every node is a target) and its
+        eigenvectors are freed before the factor is folded; then the factor,
+        the fold's stack and the inverse's triangular solve are alive.
+        """
+        base = support.random_ergodic_system([5, 40], 80, 80, num_sources=40)
+        targets = range(base.n) if every_target else base.targets
+        system = ConsensusSystem(base.graph, base.sources, targets)
+        kf = min_positive_horizon(system, range(system.n)) + 20
+        system.gramian(kf)
+        peak = support.traced_peak(audit_theorem1, system, range(system.n), kf)
+        checks = {c.id: c for c in audit_theorem1(system, range(system.n), kf).checks}
+        assert checks["T1.4"].horizon_adequate and checks["T1.4"].holds
+        assert peak < 6 * system.n**2 * 8
 
 
 class TestSubmatrix:

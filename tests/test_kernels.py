@@ -1,4 +1,4 @@
-"""Numerical kernel tests: eigendecomposition, SPD solves, CSV round trips."""
+"""Numerical kernel tests: eigendecomposition, solves through a factor, CSV round trips."""
 
 import math
 import os
@@ -17,16 +17,13 @@ import support
 from netctl import kernels
 from netctl import (
     DimensionMismatch,
-    NotPositiveDefinite,
     SymMatrix,
-    explicit_inverse,
     load_matrix_csv,
     save_matrix_csv,
-    solve_spd,
     spanning_bottleneck,
-    spd_check,
     sym_eig,
 )
+from netctl.kernels import inverse_from_factor, solve_triangular
 
 W2 = np.array([[1.25, 0.25], [0.25, 0.25]])
 
@@ -82,7 +79,8 @@ class TestSymMatrix:
 
     def test_adopted_arrays_equal_their_transposes(self):
         """Every adopting path hands over an exactly symmetric array: W and the
-        target block (with and without W), a principal block and an inverse."""
+        target block (with and without W), a principal block and an inverse
+        from a block's factor."""
         sysr = netctl.ConsensusSystem(netctl.random_geometric(150, 0.2, 4), [0, 7], [3, 70, 140])
         bundle = netctl.compute_gramian(sysr, 90)
         block = bundle.W.submatrix([1, 2, 70, 149])
@@ -91,7 +89,7 @@ class TestSymMatrix:
             bundle.target,
             netctl.compute_gramian(sysr, 90, with_w=False).target,
             block,
-            explicit_inverse(block),
+            inverse_from_factor(netctl.gramian.block_factor(sysr, [1, 2, 70, 149], 90)),
         ):
             a = m.array
             assert a.tobytes() == np.ascontiguousarray(a.T).tobytes()
@@ -106,12 +104,18 @@ class TestSymMatrix:
         s = SymMatrix(W2)
         np.testing.assert_allclose(s.submatrix([1]).array, [[0.25]])
 
+    def test_singular_matrix_is_not_spd(self):
+        """The SPD verdict reads the kept eigenvalues: lambda_min 0 is not positive."""
+        s = SymMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert not s.spd and s.values[0] <= 1e-12
+        assert SymMatrix(W2).spd
+
     def test_kept_factorizations_are_read_only(self):
         s = SymMatrix(W2)
-        for kept in (s.eig.values, s.eig.vectors, s.cholesky):
+        for kept in (s.values, s.eig.values, s.eig.vectors):
             with pytest.raises(ValueError):
                 kept[0] = 7.0
-        assert s.eig is s.eig and s.cholesky is s.cholesky
+        assert s.values is s.values and s.eig is s.eig
 
 
 class TestSymEig:
@@ -176,31 +180,35 @@ class TestDominantEigenvector:
         np.testing.assert_allclose(y, np.full(3, 3**-0.5))
 
 
+def upper_factor(m):
+    """U with U^T U = M, from scipy's Cholesky factorization."""
+    return scipy.linalg.cholesky(np.asarray(m.array if isinstance(m, SymMatrix) else m))
+
+
+def factor_solve(m, b):
+    """x with M x = b through the upper factor U: U^T z = b, then U x = z."""
+    u = upper_factor(m)
+    return solve_triangular(u, solve_triangular(u.T, b, True), False)
+
+
 class TestSpdSolve:
+    """Solves with an SPD matrix as two triangular solves with its upper factor."""
+
     def test_worked_solve(self):
-        x = solve_spd(SymMatrix(W2), np.array([1.0, 1.0]))
+        x = factor_solve(SymMatrix(W2), np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [0.0, 4.0], atol=1e-12)
 
     def test_identity_solve(self):
         b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(solve_spd(SymMatrix(np.eye(3)), b), b)
-
-    def test_singular_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_spd(SymMatrix(np.array([[1.0, 0.0], [0.0, 0.0]])), np.ones(2))
-
-    def test_spd_check_reports_lambda_min(self):
-        with pytest.raises(NotPositiveDefinite) as info:
-            spd_check(SymMatrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
-        assert info.value.lambda_min <= 1e-12
+        np.testing.assert_allclose(factor_solve(SymMatrix(np.eye(3)), b), b)
 
     def test_solve_matches_inverse(self):
         rng = np.random.default_rng(3)
         for order in (2, 5, 11, 20):
             m = random_spd(rng, order)
             b = rng.standard_normal(order)
-            x = solve_spd(m, b)
-            y = explicit_inverse(m).array @ b
+            x = factor_solve(m, b)
+            y = inverse_from_factor(upper_factor(m)).array @ b
             assert np.linalg.norm(x - y) <= 1e-8 * max(1.0, np.linalg.norm(y))
             assert np.linalg.norm(m.array @ x - b) <= 1e-9 * np.linalg.norm(b)
 
@@ -220,26 +228,26 @@ def scipy_cho_solve(m, b):
 
 
 class TestAgainstScipyCholesky:
-    """solve_spd and explicit_inverse against scipy.linalg.cho_solve."""
+    """Solves and inverses through the upper factor against scipy.linalg.cho_solve."""
 
     def test_hilbert_6(self):
         m = SymMatrix(scipy.linalg.hilbert(6))
         cond = np.linalg.cond(m.array)
         b = np.arange(1.0, 7.0)
         ref = scipy_cho_solve(m, b)
-        assert np.linalg.norm(solve_spd(m, b) - ref) <= cond * 2**-52 * np.linalg.norm(ref)
+        assert np.linalg.norm(factor_solve(m, b) - ref) <= cond * 2**-52 * np.linalg.norm(ref)
         inv_ref = scipy_cho_solve(m, np.eye(6))
-        err = np.max(np.abs(explicit_inverse(m).array - inv_ref))
+        err = np.max(np.abs(inverse_from_factor(upper_factor(m)).array - inv_ref))
         assert err <= cond * 2**-52 * np.max(np.abs(inv_ref))
 
     def test_conditioning_ladder(self):
         b = np.linspace(-1.0, 2.0, 8)
         for cond, m in conditioning_ladder():
             ref = scipy_cho_solve(m, b)
-            x = solve_spd(m, b)
+            x = factor_solve(m, b)
             assert np.linalg.norm(x - ref) <= cond * 2**-52 * np.linalg.norm(ref)
             inv_ref = scipy_cho_solve(m, np.eye(8))
-            err = np.max(np.abs(explicit_inverse(m).array - inv_ref))
+            err = np.max(np.abs(inverse_from_factor(upper_factor(m)).array - inv_ref))
             assert err <= cond * 2**-52 * np.max(np.abs(inv_ref))
 
     def test_blocked_substitution(self):
@@ -248,9 +256,15 @@ class TestAgainstScipyCholesky:
         for order in (33, 70):
             m = random_spd(rng, order)
             b = rng.standard_normal((order, 3))
-            np.testing.assert_allclose(solve_spd(m, b), scipy_cho_solve(m, b), rtol=1e-12)
+            u = upper_factor(m)
+            for t, lower in ((u, False), (u.T, True)):
+                np.testing.assert_allclose(
+                    solve_triangular(t, b, lower),
+                    scipy.linalg.solve_triangular(t, b, lower=lower), rtol=1e-12,
+                )
+            np.testing.assert_allclose(factor_solve(m, b), scipy_cho_solve(m, b), rtol=1e-12)
             np.testing.assert_allclose(
-                explicit_inverse(m).array, scipy_cho_solve(m, np.eye(order)),
+                inverse_from_factor(u).array, scipy_cho_solve(m, np.eye(order)),
                 rtol=1e-10, atol=1e-14,
             )
 
@@ -267,26 +281,28 @@ def test_import_loads_no_scipy():
 
 
 class TestExplicitInverse:
+    """inverse_from_factor: M^-1 = U^-1 U^-T from the upper factor of M."""
+
     def test_worked_inverse(self):
-        inv = explicit_inverse(SymMatrix(W2))
+        inv = inverse_from_factor(upper_factor(W2))
         np.testing.assert_allclose(inv.array, [[1, -1], [-1, 5]], atol=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(explicit_inverse(SymMatrix(np.eye(4))).array, np.eye(4))
+        np.testing.assert_allclose(inverse_from_factor(np.eye(4)).array, np.eye(4))
 
     def test_diagonal(self):
-        inv = explicit_inverse(SymMatrix(np.diag([2.0, 4.0])))
+        inv = inverse_from_factor(np.diag([2.0, 4.0]) ** 0.5)
         np.testing.assert_allclose(inv.array, np.diag([0.5, 0.25]))
 
     def test_residual_bound(self):
         rng = np.random.default_rng(11)
         m = random_spd(rng, 14)
-        prod = m.array @ explicit_inverse(m).array
+        prod = m.array @ inverse_from_factor(upper_factor(m)).array
         assert np.max(np.abs(prod - np.eye(14))) <= 1e-8
 
     def test_hilbert_6(self):
-        # cond about 1.5e7, still positive definite under SPD_RTOL
-        inv = explicit_inverse(SymMatrix(scipy.linalg.hilbert(6))).array
+        # cond about 1.5e7
+        inv = inverse_from_factor(upper_factor(scipy.linalg.hilbert(6))).array
         exact = scipy.linalg.invhilbert(6)
         assert np.array_equal(inv, inv.T)
         assert np.max(np.abs(inv - exact)) <= 1e-6 * np.max(np.abs(exact))
@@ -295,7 +311,7 @@ class TestExplicitInverse:
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
         m = rot @ np.diag([1.0, 1e-9]) @ rot.T
-        inv = explicit_inverse(SymMatrix(0.5 * (m + m.T))).array
+        inv = inverse_from_factor(upper_factor(0.5 * (m + m.T))).array
         exact = rot @ np.diag([1.0, 1e9]) @ rot.T
         assert np.array_equal(inv, inv.T)
         assert np.max(np.abs(inv - exact)) <= 1e-6 * 1e9

@@ -431,10 +431,10 @@ class TestFactorEnergies:
         for kept in (True, False):
             monkeypatch.setattr(gramian, "_kept", lambda entries, n, kept=kept: kept)
             system = ConsensusSystem(base.graph, sources, targets)
-            u = gramian.target_factor(system, kf)
+            u = gramian.block_factor(system, targets, kf)
             blocks = system.gramian(kf, with_w=False).memo(("markov", system.targets))
             assert (blocks is not None) == kept
-            assert gramian.target_factor(system, kf) is u
+            assert gramian.block_factor(system, targets, kf) is u
             factors.append(u)
         q = system.gramian(kf, with_w=False).target
         for u in factors:

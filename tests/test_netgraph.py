@@ -88,6 +88,13 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             WeightedDigraph(1, [(0, 0, 0.0)])
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_booleans_are_not_counts_or_edge_ends(self, flag):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            WeightedDigraph(flag, [(0, 0, 1.0)])
+        with pytest.raises(ValueError, match="edge end must be an integer"):
+            WeightedDigraph(2, [(0, 0, 0.5), (1, 0, 0.5), (0, flag, 1.0)])
+
     def test_orientation(self):
         # edge u->v contributes to row v of A
         g = WeightedDigraph(2, [(0, 1, 1.0), (0, 0, 1.0)])
@@ -98,6 +105,13 @@ class TestBuildGraph:
 class TestNodeSet:
     def test_sorts_and_dedupes(self):
         assert node_set([3, 1, 3, 0], 5) == (0, 1, 3)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_booleans_are_not_node_ids(self, flag):
+        """A bool compares equal to 0 or 1, but is no node id; whole floats and numpy ints are."""
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            node_set([flag], 5)
+        assert node_set([1.0, np.int64(3)], 5) == (1, 3)
 
     def test_range_check(self):
         with pytest.raises(IndexOutOfRange):
