@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .gramian import ConsensusSystem
-from .kernels import save_matrix_csv
 from .metrics import InputSequence, optimal_target_input, target_control_energy
 
 
@@ -22,10 +21,6 @@ class Trajectory:
     @property
     def kf(self) -> int:
         return self.states.shape[0] - 1
-
-    def save_csv(self, path) -> None:
-        """Write the state trajectory as CSV, one row per time step."""
-        save_matrix_csv(path, self.states)
 
 
 def _as_input_array(system: ConsensusSystem, inputs) -> np.ndarray:

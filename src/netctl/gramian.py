@@ -5,19 +5,24 @@ row-stochastic update matrix of an ergodic graph, B a 0-1 column selector for
 the source nodes and C a 0-1 row selector for the target nodes. The finite
 horizon Gramian is the sum over k < k_f of (A^k B)(A^k B)^T.
 
-compute_gramian makes one pass over the horizon. It stacks PANEL_STEPS
-consecutive X_k = A^k B into a panel (fewer when that would pass n columns,
-so a panel is never larger than W) and adds the panel's product with its
-own transpose to W's lower triangle in place, in GRAM_BLOCK-square blocks,
-so that no temporary is larger than a block; the upper triangle is mirrored
-once at the end. Blocked summation of kf terms in
-panels of b bounds the rounding error by about (b + kf/b) u against kf u for
-adding one term at a time, which b = 64 keeps small up to kf of a few
-thousand; much wider panels lose digits again. The same pass yields what
-the target metrics read: W's diagonal (from the diagonal blocks' products),
-the target block (the same sums over the panels' target columns), the
-target rows C A^k B, the Markov blocks of the optimal input schedules, and
-their least entry. W itself is formed only when a caller asks for it.
+Every sweep over the horizon steps through one propagator, _panels, which
+yields the powers x0 op^k in panels: compute_gramian and _folded_factor
+sweep B^T with A^T, the schedules of metrics without Markov blocks v C
+with A, and min_positive_horizon the 0-1 patterns of B^T and A^T.
+
+compute_gramian makes one pass over the horizon in panels of PANEL_STEPS
+steps X_k^T (fewer when that would pass n rows, so a panel is never larger
+than W). It adds each panel's product with its own transpose to W's lower
+triangle in place, in GRAM_BLOCK-square blocks, so that no temporary is
+larger than a block; the upper triangle is mirrored once at the end.
+Blocked summation of kf terms in panels of b bounds the rounding error by
+about (b + kf/b) u against kf u for adding one term at a time, which b = 64
+keeps small up to kf of a few thousand; much wider panels lose digits
+again. The same pass yields what the target metrics read: W's diagonal
+(from the diagonal blocks' products), the target block (the same sums over
+the panels' target columns), the target rows C A^k B, the Markov blocks of
+the optimal input schedules, and their least entry. W itself is formed
+only when a caller asks for it.
 
 block_factor gives each Gramian block the one factor that every solve with
 it and every inverse of it reads: the R of a thin QR of the block's
@@ -173,14 +178,10 @@ def _check_horizon(kf) -> int:
 
 
 def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> GramianBundle:
-    """Accumulate the horizon-kf controllability Gramian's parts in panels.
+    """Accumulate the horizon-kf controllability Gramian's parts, one panel at a time.
 
-    Propagates X_k = A^k B one step at a time into a panel of up to
-    PANEL_STEPS steps, and of at most n columns. Each panel P adds its
-    product P P^T to the lower triangle of W in GRAM_BLOCK-square blocks,
-    panels in horizon order, and the diagonals of the diagonal blocks'
-    products to diag W; the same sums over the panel's target columns give
-    the target block. The upper triangles are mirrored once at the end.
+    Each panel adds to W's lower triangle, diag W and the target block
+    (module docstring); the upper triangles are mirrored once at the end.
     With with_w=False the blocks off W's diagonal are never formed, nor is
     W, unless every node is a target (then the target block is W). The
     panels' target columns are the Markov blocks C A^k B: their least entry
@@ -192,28 +193,19 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     rows = list(system.targets)
     every = p == n  # the target block is W itself
     markov = np.empty((kf, p, m)) if _kept(kf * p * m, n) else None
-    width = min(PANEL_STEPS, kf, n // m)
-    # panel[j] holds X_k^T, so each step is one row-major product
-    panel = np.empty((width, m, n))
     diag = np.zeros(n)
     w = np.zeros((n, n)) if with_w or every else None
     wt = None if every else np.zeros((p, p))
-    x = system.B.T.copy()
-    at = system.A.T
     least = np.inf
-    for start in range(0, kf, width):
-        steps = min(width, kf - start)
-        for j in range(steps):
-            panel[j] = x
-            x = x @ at
-        flat = panel[:steps].reshape(steps * m, n)
+    for start, panel in _panels(system.B.T, system.A.T, kf, min(PANEL_STEPS, kf, n // m)):
+        flat = panel.reshape(-1, n)
         _add_lower_gram(w, flat, diag)
         if wt is not None:
             _add_lower_gram(wt, flat[:, rows])
         if markov is not None:
-            markov[start : start + steps] = panel[:steps, :, rows].transpose(0, 2, 1)
+            markov[start : start + len(panel)] = panel[:, :, rows].transpose(0, 2, 1)
         # per-node minima first: indexing the panel's target columns would copy them
-        least = min(least, float(panel[:steps].min(axis=(0, 1))[rows].min()))
+        least = min(least, float(panel.min(axis=(0, 1))[rows].min()))
     del panel, flat  # the mirror and the symmetry check need only block-sized buffers
     whole = None if w is None else _mirrored(w)
     diag.setflags(write=False)
@@ -224,6 +216,23 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     if markov is not None:
         bundle.memo(("markov", system.targets), lambda: markov)
     return bundle
+
+
+def _panels(x0: np.ndarray, op: np.ndarray, kf: int, width: int):
+    """Yield (k, panel) for k = 0, width, 2 width, ... < kf, with panel[j] = x0 op^(k+j).
+
+    A panel has min(width, kf - k) steps. Every panel is one reused buffer,
+    valid until the next is asked for; the sweep takes kf - 1 products.
+    """
+    panel = np.empty((min(width, kf), *x0.shape), dtype=x0.dtype)
+    panel[0] = x0
+    for k in range(0, kf, width):
+        steps = min(width, kf - k)
+        if k:
+            panel[0] = panel[-1] @ op
+        for j in range(1, steps):
+            np.matmul(panel[j - 1], op, out=panel[j])
+        yield k, panel[:steps]
 
 
 def _add_lower_gram(w, flat: np.ndarray, diag=None) -> None:
@@ -305,30 +314,21 @@ def block_factor(system: ConsensusSystem, node_ids, kf: int) -> np.ndarray:
 def _folded_factor(system: ConsensusSystem, ids: tuple, kf: int) -> np.ndarray:
     """block_factor's U with no (kf, p, m) stack of Markov blocks, for p = len(ids).
 
-    Propagates X_k^T = B^T (A^T)^k as compute_gramian does, into a panel of
-    at most PANEL_STEPS steps whose rows fit the stack below the factor,
-    and copies the panel's columns ids, the rows (S A^k B)^T, into one
-    stack of p + max(FOLD_ROWS, p // 2) rows. A full stack is replaced by
-    the R of its QR, which is the factor of every row so far. So no array
-    is larger than the build's panel or the stack: at p = n, the stack, its
-    copy inside np.linalg.qr and the new factor take 4n^2 floats, not 5n^2
-    as a 2p-row stack would.
+    Copies the columns ids of each _panels panel of X_k^T, the rows
+    (S A^k B)^T, into one stack of p + max(FOLD_ROWS, p // 2) rows; a panel
+    has at most PANEL_STEPS steps and no more rows than fit below the
+    factor. A full stack is replaced by the R of its QR, which is the
+    factor of every row so far. So no array is larger than the build's
+    panel or the stack: at p = n, the stack, its copy inside np.linalg.qr
+    and the new factor take 4n^2 floats, not 5n^2 as a 2p-row stack would.
     """
     n, m, p = system.n, system.m, len(ids)
     cols = list(ids)
     stack = np.zeros((p + max(FOLD_ROWS, p // 2), p))
     filled = p  # the first p rows hold the factor of the rows folded so far
     width = min(PANEL_STEPS, kf, max(1, (len(stack) - p) // m))
-    panel = np.empty((width, m, n))
-    panel[0] = system.B.T
-    at = system.A.T
-    for start in range(0, kf, width):
-        steps = min(width, kf - start)
-        if start:
-            panel[0] = panel[width - 1] @ at
-        for j in range(1, steps):
-            np.matmul(panel[j - 1], at, out=panel[j])
-        rows = panel[:steps].reshape(steps * m, n)
+    for _, panel in _panels(system.B.T, system.A.T, kf, width):
+        rows = panel.reshape(-1, n)
         done = 0
         while done < len(rows):
             take = min(len(rows) - done, len(stack) - filled)
@@ -344,7 +344,10 @@ def _folded_factor(system: ConsensusSystem, ids: tuple, kf: int) -> np.ndarray:
 
 
 def _upper_factor(rows: np.ndarray) -> np.ndarray:
-    """R of a thin QR of rows (at least as many as columns), rows scaled to a nonnegative diagonal."""
+    """R of a thin QR of rows (at least as many as columns).
+
+    Each row of R is scaled by +1 or -1 so that its diagonal is nonnegative.
+    """
     r = np.linalg.qr(rows, mode="r")
     r *= np.where(r.diagonal() < 0.0, -1.0, 1.0)[:, None]
     return r
@@ -361,13 +364,11 @@ def min_positive_horizon(system: ConsensusSystem, node_ids) -> int:
     if not ids:
         raise ValueError("node set must be nonempty")
     rows = list(ids)
-    pattern = system.A > 0.0
-    reach = system.B > 0.0
-    bound = (system.n - 1) ** 2 + 2
-    for k in range(bound):
-        if reach[rows].all():
+    pattern = (system.A > 0.0).T
+    # one step per panel, so no product is taken past k*
+    for k, panel in _panels((system.B > 0.0).T, pattern, (system.n - 1) ** 2 + 2, 1):
+        if panel[0][:, rows].all():
             return k + 1
-        reach = (pattern @ reach) > 0
     raise AssertionError("positivity bound exceeded; graph cannot be ergodic")
 
 

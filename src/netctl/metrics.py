@@ -14,7 +14,9 @@ loses about sqrt(cond(Q)) u against about cond(Q) u for a solve with Q
 itself. On the benchmark's n = kf = 1000 network (cond(Q) = 2.9e7) the
 energy is within 1.3e-14 of a 50-digit solve, where a solve with Q was
 off by 2e-9 to 4e-9. Whether the targets are controllable at all is still
-judged on Q's eigenvalues (SymMatrix.spd).
+judged on Q's eigenvalues (SymMatrix.spd). An optimal schedule is the
+solved goal times the Markov blocks the build kept, or else one adjoint
+sweep of it through gramian._panels.
 
 W sums squares of the nonnegative entries of A^k B, so a diagonal entry of
 W is 0.0 exactly when no path reaches its node within the horizon; any
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import gramian, kernels
 from .errors import (
     DegenerateProjection,
     DimensionMismatch,
@@ -148,27 +150,21 @@ def target_control_energy(system: ConsensusSystem, kf: int, ybar) -> float:
     return float(z @ z)
 
 
-def _propagated_schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
-    """_schedule with no Markov blocks: step kf-1-j is v C A^j B, propagated in j."""
-    steps = np.empty((kf, *v.shape[:-1], system.m))
-    x = v @ system.C
-    for j in range(kf):
-        steps[j] = x @ system.B
-        x = x @ system.A
-    return steps[::-1]
-
-
 def _schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
     """Input schedule whose step i is (C A^(kf-1-i) B)^T v.
 
     v is one goal (p,) or a stack (s, p), giving (kf, m) or (kf, s, m), from
-    the Markov blocks compute_gramian kept or else by propagating v.
+    the Markov blocks compute_gramian kept, or else from the _panels sweep
+    of v C A^k.
     """
     bundle = _parts(system, kf)
     blocks = bundle.memo(("markov", system.targets))
-    if blocks is None:
-        return _propagated_schedule(system, bundle.kf, v)
-    return (v @ blocks)[::-1]
+    if blocks is not None:
+        return (v @ blocks)[::-1]
+    steps = np.empty((bundle.kf, *v.shape[:-1], system.m))
+    for k, panel in gramian._panels(v @ system.C, system.A, bundle.kf, gramian.PANEL_STEPS):
+        steps[k : k + len(panel)] = panel @ system.B
+    return steps[::-1]
 
 
 def optimal_target_input(system: ConsensusSystem, kf: int, ybar) -> InputSequence:

@@ -255,16 +255,6 @@ def is_separating_cutset(graph, sources, targets, cutset) -> bool:
     return not any(v in reach for v in t if v not in c)
 
 
-def isolated_set(graph, sources, cutset) -> tuple[int, ...]:
-    """Nodes outside the cutset that no source reaches while avoiding it."""
-    s = node_set(sources, graph.n)
-    if not s:
-        raise ValueError("sources must be nonempty")
-    c = set(node_set(cutset, graph.n))
-    reach = _reachable_avoiding(graph, s, c)
-    return tuple(v for v in range(graph.n) if v not in c and v not in reach)
-
-
 class _FlowNet:
     """Tiny max-flow network (BFS augmentation). Sizes here are a few hundred."""
 
@@ -539,4 +529,10 @@ def load_network(path) -> tuple[WeightedDigraph, tuple[int, ...], tuple[int, ...
                for e in obj["edges"]):
         raise ValueError(f"{path}: every edge must be [from, to, weight]")
     graph = WeightedDigraph(obj["n"], obj["edges"], positions=obj.get("positions"))
-    return graph, node_set(obj["sources"], graph.n), node_set(obj["targets"], graph.n)
+    lists = []
+    for key in ("sources", "targets"):
+        try:
+            lists.append(node_set(obj[key], graph.n))
+        except (ValueError, IndexOutOfRange) as exc:
+            raise type(exc)(f"{key}: {exc}") from None
+    return graph, *lists

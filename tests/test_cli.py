@@ -123,12 +123,18 @@ def test_malformed_network_exits_2(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Each file read a JSON true or false as the number 1 or 0 and exited 0.
+# Each boolean file read a JSON true or false as the number 1 or 0 and exited
+# 0; a bad source or target id did not say which list it came from. Each
+# entry: the file, the error text, and a valid file that differs only there.
 BOOLEAN_FIELDS = {
     "weight": ('{"n": 2, "edges": [[0, 0, 0.5], [1, 0, 0.5], [0, 1, true]], '
                '"sources": [0], "targets": [1]}', "weight"),
-    "source": (network_text(sources=[False]), "node id must be an integer, got False"),
-    "target": (network_text(targets=[True]), "node id must be an integer, got True"),
+    "source": (network_text(sources=[False]), "sources: node id must be an integer, got False"),
+    "target": (network_text(targets=[True]), "targets: node id must be an integer, got True"),
+    "source_range": (network_text(sources=[2]), "sources: node id 2 outside 0..1",
+                     network_text(sources=[1])),
+    "target_range": (network_text(targets=[0, 7]), "targets: node id 7 outside 0..1",
+                     network_text(targets=[0])),
     "edge_end": (network_text(edges=[[0, 0, 0.5], [0, True, 0.5], [1, 0, 0.5], [1, 1, 0.5]]),
                  "edge end must be an integer, got True"),
     "n": ('{"n": true, "edges": [[0, 0, 1.0]], "sources": [0], "targets": [0]}',
@@ -138,14 +144,15 @@ BOOLEAN_FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(BOOLEAN_FIELDS))
 def test_boolean_network_fields_exit_2(tmp_path, capsys, name):
-    """A JSON boolean is no node count, node id or weight: exit 2 naming the field."""
-    text, message = BOOLEAN_FIELDS[name]
+    """A JSON boolean is no node count, node id or weight, and an id must be a
+    node: exit 2 naming the field, and the list for a source or target id."""
+    text, message, *valid = BOOLEAN_FIELDS[name]
     path = tmp_path / "net.json"
     path.write_text(text)
     code, out, err = run(capsys, "node-energies", "--net", str(path), "--kf", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
-    path.write_text(text.replace("true", "1").replace("false", "0"))
+    path.write_text(valid[0] if valid else text.replace("true", "1").replace("false", "0"))
     assert run(capsys, "node-energies", "--net", str(path), "--kf", "2")[0] == 0
 
 

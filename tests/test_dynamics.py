@@ -79,14 +79,6 @@ class TestSimulate:
         scale = max(1.0, np.max(np.abs(both)))
         assert np.max(np.abs(both - free - forced)) <= 1e-12 * scale
 
-    def test_csv_export(self, sys2, tmp_path):
-        traj = simulate(sys2, [0, 0], np.ones((3, 1)))
-        path = tmp_path / "traj.csv"
-        traj.save_csv(path)
-        data = np.loadtxt(path, delimiter=",")
-        assert data.shape == (4, 2)
-        np.testing.assert_array_equal(data, traj.states)
-
 
 class TestVerifyOptimalInput:
     def test_worked_instance(self, sys2):

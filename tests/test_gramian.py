@@ -235,6 +235,88 @@ def _markov_oracle(system, kf):
     return np.array([system.C @ a_k @ system.B for a_k in powers])
 
 
+def _count_panels(monkeypatch) -> list:
+    """Wrap gramian._panels; the returned list receives each call's arguments."""
+    calls = []
+    panels = gramian._panels
+
+    def counted(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(gramian, "_panels", counted)
+    return calls
+
+
+class _CountingOp(np.ndarray):
+    """An operator array that counts the matrix products taken with it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        plain = (np.asarray(x) if isinstance(x, _CountingOp) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _sweep(x0, op, kf, width):
+    """(panel starts, every step as one array) of gramian._panels."""
+    starts, steps = [], []
+    for k, panel in gramian._panels(x0, op, kf, width):
+        assert len(panel) == min(width, kf - k)
+        starts.append(k)
+        steps.extend(panel.copy())  # the buffer is reused by the next panel
+    return starts, np.array(steps)
+
+
+class TestPanels:
+    """The one propagator: panel[j] = x0 op^(k + j), panels of at most width steps."""
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("kf", [1, *PANEL_HORIZONS])
+    def test_every_direction_matches_matrix_powers(self, kf, width):
+        """Forward B^T (A^T)^k, adjoint v C A^k and the boolean reach pattern."""
+        sysr = support.random_ergodic_system([61, kf], 6, 9, num_sources=2, num_targets=3)
+        a, b, c = sysr.A, sysr.B, sysr.C
+        powers = [np.linalg.matrix_power(a, k) for k in range(kf)]
+        v = np.linspace(-1.0, 2.0, sysr.p)
+        for x0, op, expected in (
+            (b.T, a.T, [(a_k @ b).T for a_k in powers]),
+            (v @ c, a, [v @ c @ a_k for a_k in powers]),
+        ):
+            starts, got = _sweep(x0, op, kf, width)
+            assert starts == list(range(0, kf, width))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+        # the powers of a converge to positive rows: no entry underflows to zero here
+        _, got = _sweep((b > 0).T, (a > 0).T, kf, width)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, [(a_k @ b > 0).T for a_k in powers])
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("kf", [1, *PANEL_HORIZONS])
+    def test_takes_kf_minus_one_products(self, kf, width):
+        sysr = support.random_ergodic_system([62, kf], 6, 9, num_sources=2)
+        op = np.array(sysr.A.T).view(_CountingOp)
+        op.products = 0
+        _sweep(sysr.B.T, op, kf, width)
+        assert op.products == kf - 1
+
+    def test_every_sweep_reads_it_once(self, monkeypatch):
+        """The build, the folded factor, the declined schedule and k* each sweep once."""
+        sysr = ConsensusSystem(random_geometric(8, 0.6, 5), [0], range(8))
+        kf = 65  # kf * p * m > n^2: no Markov blocks kept
+        calls = _count_panels(monkeypatch)
+
+        def sweeps(fn, *args):
+            before = len(calls)
+            fn(*args)
+            return len(calls) - before
+
+        assert sweeps(sysr.gramian, kf, False) == 1
+        assert sweeps(gramian.block_factor, sysr, sysr.targets, kf) == 1
+        assert sweeps(optimal_target_input, sysr, kf, np.linspace(1.0, 2.0, 8)) == 1
+        assert sweeps(min_positive_horizon, sysr, sysr.targets) == 1
+
+
 class TestMarkovBlocks:
     @pytest.mark.parametrize("m", [1, 3])
     def test_kept_blocks_match_powers(self, m):
@@ -256,17 +338,12 @@ class TestMarkovBlocks:
         sysr = ConsensusSystem(g, [0], range(8))
         kf = 65
         assert kf * sysr.p * sysr.m >= sysr.n**2
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return propagated(*args)
-
-        propagated = metrics._propagated_schedule
-        monkeypatch.setattr(metrics, "_propagated_schedule", counted)
+        gramian.block_factor(sysr, sysr.targets, kf)
+        calls = _count_panels(monkeypatch)
         goal = np.linspace(1.0, 2.0, 8)
         seq = optimal_target_input(sysr, kf, goal)
-        assert len(calls) == 1
+        # one adjoint sweep: the factor is kept, the blocks are not
+        assert len(calls) == 1 and calls[0][1] is sysr.A
         blocks = _markov_oracle(sysr, kf)
         # v = Q^-1 goal through the R of a QR of the oracle's own Markov rows
         r = np.linalg.qr(blocks.transpose(0, 2, 1).reshape(-1, sysr.p), mode="r")
