@@ -106,11 +106,10 @@ def _inverse_signs(system: ConsensusSystem, bundle, ids):
     """R, max|R| and the threshold -NEG_SCALE * max|R| for the block on ids.
 
     R is the block's inverse U^-1 U^-T from its factor U (gramian.block_factor),
-    kept per bundle; an entry of R below the threshold counts as negative.
+    formed afresh on each call; an entry of R below the threshold counts as
+    negative.
     """
-    r = bundle.memo(
-        ("inverse", ids), lambda: kernels.inverse_from_factor(block_factor(system, ids, bundle.kf))
-    )
+    r = kernels.inverse_from_factor(block_factor(system, ids, bundle.kf))
     scale = float(np.max(np.abs(r.array)))
     return r, scale, -NEG_SCALE * scale
 
@@ -164,7 +163,7 @@ def audit_theorem1(system: ConsensusSystem, node_ids, kf: int) -> AuditReport:
         ]
         return AuditReport(checks=tuple(checks))
 
-    del q, eig_q  # freed before the inverse, unless the bundle keeps the block
+    del q, eig_q  # freed before the inverse (a target block stays with its bundle)
     r, r_scale, neg_thresh = _inverse_signs(system, bundle, ids)
     ra = r.array
     eig_r_min = float(r.values[0])

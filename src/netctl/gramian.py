@@ -133,14 +133,11 @@ class GramianBundle:
     diag is W's diagonal (read-only), target the principal block on the
     target nodes `targets`, W the whole Gramian or None when the build was
     not asked for it (when every node is a target, target is W), markov_min
-    the least entry of the Markov blocks C A^k B, k < kf. The bundle holds
-    arrays only, so dropping it frees them at once.
-
-    Principal blocks (with their eigenpairs) and block inverses are kept
-    on first use, and the target Markov blocks from the Gramian's
-    own build, unless they are as large as W: W's eigenvectors alone would
-    take 8 MB at n = 1000, so an n x n block is made afresh on each use
-    instead. The factors of block_factor are kept whatever their size.
+    the least entry of the Markov blocks C A^k B, k < kf, and markov those
+    blocks as one read-only (kf, p, m) array, or None when compute_gramian
+    did not keep them. factors maps a node set to its block_factor, filled
+    on first use. The bundle holds arrays only, so dropping it frees them
+    at once.
     """
 
     kf: int
@@ -149,24 +146,12 @@ class GramianBundle:
     targets: tuple
     target: SymMatrix
     markov_min: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def memo(self, key, make=None, *args):
-        """The value kept under key, made by make(*args) on first use.
-
-        The value is a SymMatrix or an array; without make, None if not kept.
-        """
-        if key in self._memo or make is None:
-            return self._memo.get(key)
-        value = make(*args)
-        array = value.array if isinstance(value, SymMatrix) else value
-        if _kept(array.size, len(self.diag)):
-            self._memo[key] = value
-        return value
+    markov: np.ndarray | None
+    factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _kept(entries: int, n: int) -> bool:
-    """Whether a bundle keeps a float array of this many entries next to W."""
+    """Whether compute_gramian keeps Markov blocks of this many entries: fewer than W has."""
     return entries < n * n
 
 
@@ -185,8 +170,8 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     With with_w=False the blocks off W's diagonal are never formed, nor is
     W, unless every node is a target (then the target block is W). The
     panels' target columns are the Markov blocks C A^k B: their least entry
-    is kept as markov_min and, when the bundle keeps arrays of kf * p * m
-    entries, the blocks under ("markov", targets) as one (kf, p, m) array.
+    is kept as markov_min and, when _kept allows kf * p * m entries, the
+    blocks as markov.
     """
     kf = _check_horizon(kf)
     n, m, p = system.n, system.m, system.p
@@ -209,13 +194,12 @@ def compute_gramian(system: ConsensusSystem, kf: int, with_w: bool = True) -> Gr
     del panel, flat  # the mirror and the symmetry check need only block-sized buffers
     whole = None if w is None else _mirrored(w)
     diag.setflags(write=False)
-    bundle = GramianBundle(
-        kf=kf, W=whole, diag=diag, targets=system.targets,
-        target=whole if every else _mirrored(wt), markov_min=least,
-    )
     if markov is not None:
-        bundle.memo(("markov", system.targets), lambda: markov)
-    return bundle
+        markov.setflags(write=False)
+    return GramianBundle(
+        kf=kf, W=whole, diag=diag, targets=system.targets,
+        target=whole if every else _mirrored(wt), markov_min=least, markov=markov,
+    )
 
 
 def _panels(x0: np.ndarray, op: np.ndarray, kf: int, width: int):
@@ -270,8 +254,8 @@ def _mirrored(w: np.ndarray) -> SymMatrix:
 def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
     """Principal Gramian block on the given nodes (ascending order).
 
-    The target block is the bundle's own; any other needs W and is kept via
-    memo.
+    The target block is the bundle's own; any other is copied from W on
+    each call.
     """
     ids = node_set(node_ids, len(bundle.diag))
     if not ids:
@@ -280,7 +264,7 @@ def gramian_submatrix(bundle: GramianBundle, node_ids) -> SymMatrix:
         return bundle.target
     if bundle.W is None:
         raise ValueError("the bundle was built without W; ask system.gramian(kf) for it")
-    return bundle.memo(("block", ids), bundle.W.submatrix, ids)
+    return bundle.W.submatrix(ids)
 
 
 def block_factor(system: ConsensusSystem, node_ids, kf: int) -> np.ndarray:
@@ -289,25 +273,23 @@ def block_factor(system: ConsensusSystem, node_ids, kf: int) -> np.ndarray:
     U is the R of a thin QR of M^T, where M = [S A^(kf-1) B, ..., S B] holds
     the block's Markov rows (S the 0-1 row selector of the nodes), with its
     diagonal made nonnegative, so U^T U = M M^T, the block, to rounding.
-    From one QR of the Markov blocks when the build kept them (the targets
-    only), else by _folded_factor; made on first use (the bundle is built
-    without W if none is kept), kept under ("factor", ids) whatever its
-    size, and returned read-only. Callers have found the block nonsingular
-    first, so M has at least as many columns as there are nodes.
+    From one QR of bundle.markov when the nodes are the targets and the
+    build kept the blocks, else by _folded_factor; made on first use (the
+    bundle is built without W if none is kept), kept in bundle.factors and
+    returned read-only. Callers have found the block nonsingular first, so
+    M has at least as many columns as there are nodes.
     """
     ids = node_set(node_ids, system.n)
     bundle = system.gramian(kf, with_w=False)
-    key = ("factor", ids)
-    u = bundle.memo(key)
+    u = bundle.factors.get(ids)
     if u is None:
-        blocks = bundle.memo(("markov", ids))
-        if blocks is None:
-            u = _folded_factor(system, ids, bundle.kf)
-        else:
+        if ids == bundle.targets and bundle.markov is not None:
             # a view when m = 1
-            u = _upper_factor(blocks.transpose(0, 2, 1).reshape(-1, len(ids)))
+            u = _upper_factor(bundle.markov.transpose(0, 2, 1).reshape(-1, len(ids)))
+        else:
+            u = _folded_factor(system, ids, bundle.kf)
         u.setflags(write=False)
-        bundle._memo[key] = u  # not through memo: kept even when as large as W
+        bundle.factors[ids] = u
     return u
 
 

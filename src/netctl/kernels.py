@@ -42,19 +42,20 @@ class SymMatrix:
     __slots__ = ("_a", "_values", "_eig")
 
     def __init__(self, data):
-        a = np.array(data, dtype=float)
+        a = np.asarray(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix has a non-finite entry")
         scale = max(1.0, float(-a.min()), float(a.max())) if a.size else 1.0
-        skew = _symmetrize_in_place(a)
+        skew = float(np.max(np.abs(a - a.T), initial=0.0))
         if skew > SYMMETRY_TOL * scale:
             raise ValueError(
                 f"matrix is not symmetric: max |a - a.T| = {skew:.3e} "
                 f"exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}"
             )
-        self._keep(a)
+        # floating-point addition commutes, so the result equals its transpose bit for bit
+        self._keep(0.5 * (a + a.T))
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> "SymMatrix":
@@ -108,27 +109,6 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix(order={self.order})"
-
-
-def _symmetrize_in_place(a: np.ndarray) -> float:
-    """Set a to 0.5 * (a + a.T) in place; return max |a - a.T| before.
-
-    Block by block through one block-sized buffer; floating-point addition
-    commutes, so the result is bit-identical to 0.5 * (a + a.T).
-    """
-    block = 128
-    skews = [0.0]
-    scratch = np.empty(min(block, a.shape[0]) ** 2)
-    for i in range(0, a.shape[0], block):
-        for j in range(i, a.shape[0], block):
-            upper, lower = a[i : i + block, j : j + block], a[j : j + block, i : i + block]
-            buf = scratch[: upper.size].reshape(upper.shape)
-            np.abs(np.subtract(upper, lower.T, out=buf), out=buf)
-            skews.append(np.max(buf))
-            np.multiply(np.add(upper, lower.T, out=buf), 0.5, out=buf)
-            upper[...] = buf
-            lower[...] = buf.T
-    return float(np.max(skews))
 
 
 @dataclass(frozen=True)
@@ -254,12 +234,13 @@ def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 
 
 def inverse_from_factor(u: np.ndarray) -> SymMatrix:
-    """(U^T U)^-1 = U^-1 U^-T for an upper-triangular U with a nonzero diagonal, symmetrized."""
+    """(U^T U)^-1 = U^-1 U^-T for an upper-triangular U with a nonzero diagonal.
+
+    numpy forms V V^T for V = U^-1 as one symmetric rank-k update (BLAS
+    syrk) and mirrors its triangle, so R equals its transpose bit for bit.
+    """
     v = solve_triangular(u, np.eye(u.shape[0]), lower=False)
-    r = v @ v.T
-    del v  # freed before the symmetrization's block buffer
-    _symmetrize_in_place(r)
-    return SymMatrix._adopt(r)
+    return SymMatrix._adopt(v @ v.T)
 
 
 def spanning_bottleneck(w) -> float:

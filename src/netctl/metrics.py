@@ -158,9 +158,8 @@ def _schedule(system: ConsensusSystem, kf: int, v: np.ndarray) -> np.ndarray:
     of v C A^k.
     """
     bundle = _parts(system, kf)
-    blocks = bundle.memo(("markov", system.targets))
-    if blocks is not None:
-        return (v @ blocks)[::-1]
+    if bundle.markov is not None:
+        return (v @ bundle.markov)[::-1]
     steps = np.empty((bundle.kf, *v.shape[:-1], system.m))
     for k, panel in gramian._panels(v @ system.C, system.A, bundle.kf, gramian.PANEL_STEPS):
         steps[k : k + len(panel)] = panel @ system.B

@@ -204,7 +204,9 @@ def exact_energy(system: ConsensusSystem, kf: int, goal) -> Fraction:
                 row.append(x[t])
             x = [sum((w * x[u] for u, w in incoming[v]), Fraction(0)) for v in range(n)]
     y = [Fraction(float(v)) for v in goal]
-    aug = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] + [y[i]] for i, ri in enumerate(rows)]
+    aug = [
+        [sum(a * b for a, b in zip(ri, rj)) for rj in rows] + [y[i]] for i, ri in enumerate(rows)
+    ]
     for c in range(p):
         for r in range(c + 1, p):
             f = aug[r][c] / aug[c][c]

@@ -365,7 +365,7 @@ class TestSampledChecksMatchLoops:
         monkeypatch.setattr(gramian, "_kept", lambda entries, n: False)
         for (system, kf), check in zip(systems, kept):
             fresh = ConsensusSystem(system.graph, system.sources, system.targets)
-            assert fresh.gramian(kf).memo(("markov", fresh.targets)) is None
+            assert fresh.gramian(kf).markov is None
             assert by_id(audit_theorem2(fresh, kf))["T2.3"] == check
 
     def test_declined_markov_minimum_holds_no_stack(self):

@@ -175,11 +175,10 @@ class TestBundleParts:
             gap = np.max(np.abs(bundle.target.array - block))
             assert gap <= 1e-15 * np.max(np.abs(block))
             assert gramian_submatrix(bundle, sysr.targets) is bundle.target
-        key = ("markov", sysr.targets)
-        if lean.memo(key) is not None:
-            assert np.array_equal(lean.memo(key), full.memo(key))
+        if lean.markov is not None:
+            assert np.array_equal(lean.markov, full.markov)
         else:
-            assert full.memo(key) is None
+            assert full.markov is None
 
     def test_other_blocks_need_w(self):
         sysr = _readme_system()
@@ -224,10 +223,6 @@ class TestCommandMemory:
         """The target block is W itself, and its eigenvectors are never formed."""
         sysr = ConsensusSystem(random_geometric(self.N, 0.1, 7), [0], range(self.N))
         assert support.traced_peak(metrics.metrics_report, sysr, 400) < 1.3 * self.N**2 * 8
-
-
-def _not_kept():
-    raise AssertionError("the build did not keep the Markov blocks")
 
 
 def _markov_oracle(system, kf):
@@ -327,8 +322,8 @@ class TestMarkovBlocks:
         for kf in PANEL_HORIZONS:
             assert kf * sysr.p * sysr.m < sysr.n**2
             bundle = compute_gramian(sysr, kf)
-            kept = bundle.memo(("markov", sysr.targets), _not_kept)
-            assert kept.shape == (kf, sysr.p, sysr.m)
+            kept = bundle.markov
+            assert kept.shape == (kf, sysr.p, sysr.m) and not kept.flags.writeable
             oracle = _markov_oracle(sysr, kf)
             np.testing.assert_allclose(kept, oracle, rtol=1e-12, atol=1e-15)
 
@@ -456,7 +451,7 @@ class TestBlockFactor:
         monkeypatch.setattr(gramian, "_kept", lambda entries, n: True)
         own = ConsensusSystem(base.graph, base.sources, ids)
         one_qr = gramian.block_factor(own, ids, kf)
-        assert own.gramian(kf, with_w=False).memo(("markov", ids)) is not None
+        assert own.gramian(kf, with_w=False).markov is not None
         assert np.max(np.abs(one_qr - factors[0])) <= 1e-12 * np.max(np.abs(one_qr))
 
     @pytest.mark.parametrize("every_target", [False, True])

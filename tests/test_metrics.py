@@ -389,7 +389,7 @@ class TestFactorEnergies:
                 exact = support.exact_energy(system, kf, goal)
                 energy = target_control_energy(system, kf, goal)
                 schedule = optimal_target_input(system, kf, goal).energy
-                blocks = system.gramian(kf, with_w=False).memo(("markov", system.targets))
+                blocks = system.gramian(kf, with_w=False).markov
                 assert (route == "kept") == (blocks is not None)
                 for value in (energy, schedule):
                     err = float(abs(Fraction(value) - exact) / exact)
@@ -403,7 +403,7 @@ class TestFactorEnergies:
         kf = 1000
         goal = np.array([0.3, -1.2, 0.8, 2.0])
         energy = target_control_energy(system, kf, goal)
-        rows = system.gramian(kf, with_w=False).memo(("markov", system.targets))[:, :, 0].T
+        rows = system.gramian(kf, with_w=False).markov[:, :, 0].T
         with mpmath.workdps(50):
             m = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in rows])
             y = mpmath.matrix([mpmath.mpf(float(v)) for v in goal])
@@ -432,7 +432,7 @@ class TestFactorEnergies:
             monkeypatch.setattr(gramian, "_kept", lambda entries, n, kept=kept: kept)
             system = ConsensusSystem(base.graph, sources, targets)
             u = gramian.block_factor(system, targets, kf)
-            blocks = system.gramian(kf, with_w=False).memo(("markov", system.targets))
+            blocks = system.gramian(kf, with_w=False).markov
             assert (blocks is not None) == kept
             assert gramian.block_factor(system, targets, kf) is u
             factors.append(u)
